@@ -45,8 +45,8 @@ using namespace gpuperf;
 namespace {
 
 /**
- * The batch as wire-portable case refs — the same KernelJobs a spool
- * submitter would serialize. Six families (histogram included), with
+ * The batch as wire-portable case refs — the same KernelJobs a fleet
+ * dispatcher would ship to its workers. Six families (histogram included), with
  * v = i/6 varying each family's parameters injectively through the
  * 64-point batch.
  */

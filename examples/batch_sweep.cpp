@@ -16,8 +16,8 @@
  * loads; little to fix).
  *
  * The whole batch is ONE api::AnalysisRequest built from registry
- * case refs — the same wire-portable description `gpuperf-worker`
- * ships to spool workers — executed here in streaming mode: each
+ * case refs — the same wire-portable description `gpuperf-serve`
+ * ships to its fleet workers — executed here in streaming mode: each
  * cell prints the moment the batch task graph completes it, then the
  * ordered summary tables follow. The request's store makes reruns
  * start warm and skip both simulation and calibration.

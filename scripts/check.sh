@@ -3,33 +3,25 @@
 # gtest suite. Fails on any compile error or test failure. Future PRs
 # run this before merging.
 #
-# Usage: scripts/check.sh [--sanitize | --api-smoke | --serve-smoke | --fleet-smoke | --sched-smoke | --store-smoke] [build-dir] [build-type]
+# Usage: scripts/check.sh [--sanitize | --serve-smoke | --fleet-smoke | --sched-smoke | --store-smoke] [build-dir] [build-type]
 #   --sanitize  ASan+UBSan run: Debug build with
 #               -fsanitize=address,undefined, leak detection on, tests
 #               only (the perf gates measure nothing useful under a
 #               sanitizer). The suite includes the task-graph executor,
-#               streaming-batch and AnalysisService/spool tests
-#               (test_task_graph, test_batch, test_store, test_api),
-#               which exercise the scheduler's and lease protocol's
-#               locking under the sanitizers. Defaults build-dir to
-#               build-asan. This is exactly what the CI sanitize job
-#               executes.
-#   --api-smoke Build, then run ONLY the two-process spool-worker
-#               smoke: a demo AnalysisRequest is executed in-process
-#               and through a parent (submit/collect) plus a separate
-#               worker (serve) process sharing a spool directory; the
-#               two JSON responses must be byte-identical. The full
-#               (flagless) run executes this step after the benches as
-#               well; CI uploads the JSON responses as artifacts from
-#               <build-dir>/api-smoke/.
+#               streaming-batch, store and fleet-dispatch tests
+#               (test_task_graph, test_batch, test_store, test_dispatch),
+#               which exercise the scheduler's, the lease protocol's and
+#               the dispatcher's locking under the sanitizers. Defaults
+#               build-dir to build-asan. This is exactly what the CI
+#               sanitize job executes.
 #   --serve-smoke
 #               Build, then run ONLY the socket-server smoke: a
-#               gpuperf-serve daemon on a Unix socket serves 4
-#               concurrent gpuperf-worker clients (run --via unix:...)
-#               plus one TCP client; every response is byte-diffed
-#               against an in-process run of the same request. The
-#               full (flagless) run executes this and the
-#               bench_serve_soak gate as well; artifacts land in
+#               gpuperf-serve daemon on `--via unix:... --via
+#               tcp:127.0.0.1:0` serves 4 concurrent gpuperf-worker
+#               clients over the Unix socket plus one over TCP; every
+#               response is byte-diffed against an in-process run of
+#               the same request. The full (flagless) run executes this
+#               and the bench_serve_soak gate as well; artifacts land in
 #               <build-dir>/serve-smoke/.
 #   --fleet-smoke
 #               Build, then run ONLY the fleet-dispatch smoke: a
@@ -72,30 +64,16 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SANITIZE=0
-API_SMOKE_ONLY=0
-SERVE_SMOKE_ONLY=0
-FLEET_SMOKE_ONLY=0
-SCHED_SMOKE_ONLY=0
-STORE_SMOKE_ONLY=0
-if [[ "${1:-}" == "--sanitize" ]]; then
-    SANITIZE=1
-    shift
-elif [[ "${1:-}" == "--api-smoke" ]]; then
-    API_SMOKE_ONLY=1
-    shift
-elif [[ "${1:-}" == "--serve-smoke" ]]; then
-    SERVE_SMOKE_ONLY=1
-    shift
-elif [[ "${1:-}" == "--fleet-smoke" ]]; then
-    FLEET_SMOKE_ONLY=1
-    shift
-elif [[ "${1:-}" == "--sched-smoke" ]]; then
-    SCHED_SMOKE_ONLY=1
-    shift
-elif [[ "${1:-}" == "--store-smoke" ]]; then
-    STORE_SMOKE_ONLY=1
-    shift
-fi
+SMOKE_ONLY=""
+case "${1:-}" in
+    --sanitize)
+        SANITIZE=1
+        shift ;;
+    --serve-smoke|--fleet-smoke|--sched-smoke|--store-smoke)
+        SMOKE_ONLY="${1#--}"
+        SMOKE_ONLY="${SMOKE_ONLY%-smoke}"
+        shift ;;
+esac
 
 if [[ "$SANITIZE" == 1 ]]; then
     BUILD_DIR="${1:-build-asan}"
@@ -124,233 +102,119 @@ fi
 cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"
 cmake --build "$BUILD_DIR" -j"$JOBS"
 
-# Two-process spool-worker end-to-end: submit + collect in this
-# (parent) process, serve in a SEPARATE worker process, diff the JSON
-# responses against an in-process run of the same request. Leaves its
-# artifacts under <build-dir>/api-smoke/ for CI upload.
-run_api_smoke() {
-    local SMOKE="$BUILD_DIR/api-smoke"
-    local W="$BUILD_DIR/gpuperf-worker"
-    rm -rf "$SMOKE"
-    mkdir -p "$SMOKE"
-    # Two identical requests with SEPARATE stores: the spooled leg
-    # must not be served warm from the in-process leg's result store,
-    # or the diff would pass without the worker executing anything.
-    "$W" demo-request --out "$SMOKE/request.json" \
-        --store "$SMOKE/store-inprocess"
-    "$W" demo-request --out "$SMOKE/request-spooled.json" \
-        --store "$SMOKE/store-spooled"
-    "$W" run "$SMOKE/request.json" --out "$SMOKE/response-inprocess.json"
-    "$W" submit "$SMOKE/request-spooled.json" --spool "$SMOKE/spool" \
-        --no-wait
-    "$W" serve --spool "$SMOKE/spool" &
-    local WORKER_PID=$!
-    "$W" collect "$SMOKE/request-spooled.json" --spool "$SMOKE/spool" \
-        --out "$SMOKE/response-spooled.json" --timeout 300
-    wait "$WORKER_PID"
-    diff "$SMOKE/response-inprocess.json" "$SMOKE/response-spooled.json"
-    echo "api-smoke: spool-worker response identical to the in-process run"
+# Expand the daemon_smoke placeholders in one word: @SOCK@ (the
+# daemon's Unix socket), @SMOKE@ (the smoke's artifact dir) and @PORT@
+# (the daemon's ephemeral TCP port, once bound).
+smoke_expand() {
+    local w="${1//@SOCK@/$SOCK}"
+    w="${w//@SMOKE@/$SMOKE}"
+    printf '%s' "${w//@PORT@/$PORT}"
 }
 
-# Socket-server end-to-end: one gpuperf-serve daemon (Unix socket +
-# ephemeral TCP), 4 concurrent Unix clients and one TCP client, all
-# running the same demo request against per-client stores; every
-# response must be byte-identical to an in-process run. SIGTERM at the
-# end exercises the graceful-drain shutdown path.
-run_serve_smoke() {
-    local SMOKE="$BUILD_DIR/serve-smoke"
+# Daemon end-to-end driver behind the serve, fleet and sched smokes:
+#
+#   daemon_smoke NAME WORKERS KILL_ONE STATS_GREP DAEMON_FLAG... -- CLIENT...
+#
+# Starts gpuperf-serve with the DAEMON_FLAGs (which must include
+# --via unix:@SOCK@), registers WORKERS fleet workers, runs the demo
+# request in-process as the reference, then runs one gpuperf-worker
+# client per CLIENT (a string of `run` flags) concurrently. Every leg
+# gets its OWN store so the served legs really execute rather than
+# replaying the reference's results (a daemon --store overrides the
+# clients' stores), and every response must be byte-identical to the
+# reference — the response JSON carries no paths. With KILL_ONE=1 the
+# first worker is SIGKILLed while the clients are in flight: its cells
+# must be stolen back and re-dispatched, losing nothing. SIGTERM then
+# exercises the graceful drain: the daemon must log its "served" line,
+# and STATS_GREP (a fixed string, "" for none) must appear in its log.
+# Artifacts land in <build-dir>/NAME/.
+daemon_smoke() {
+    local NAME="$1" WORKERS="$2" KILL_ONE="$3" STATS_GREP="$4"
+    shift 4
+    local SMOKE="$BUILD_DIR/$NAME"
     local W="$BUILD_DIR/gpuperf-worker"
     local S="$BUILD_DIR/gpuperf-serve"
     local SOCK="$SMOKE/serve.sock"
+    local PORT=""
     rm -rf "$SMOKE"
     mkdir -p "$SMOKE"
 
-    "$S" --unix "$SOCK" --tcp 0 > "$SMOKE/serve.log" 2>&1 &
+    local DAEMON_FLAGS=()
+    while [[ "$1" != "--" ]]; do
+        DAEMON_FLAGS+=("$(smoke_expand "$1")")
+        shift
+    done
+    shift
+
+    "$S" "${DAEMON_FLAGS[@]}" > "$SMOKE/serve.log" 2>&1 &
     local SERVE_PID=$!
-    trap 'kill "$SERVE_PID" 2>/dev/null || true' RETURN
+    local WORKER_PIDS=()
+    trap 'kill "$SERVE_PID" "${WORKER_PIDS[@]}" 2>/dev/null || true; trap - RETURN' RETURN
     for _ in $(seq 1 100); do
         [[ -S "$SOCK" ]] && grep -q "ready" "$SMOKE/serve.log" && break
         sleep 0.1
     done
-    [[ -S "$SOCK" ]] || { echo "serve-smoke: daemon never bound $SOCK" >&2
+    [[ -S "$SOCK" ]] || { echo "$NAME: daemon never bound $SOCK" >&2
                           cat "$SMOKE/serve.log" >&2; return 1; }
-    local PORT
     PORT="$(sed -n 's/^listening tcp .*:\([0-9]*\)$/\1/p' "$SMOKE/serve.log")"
 
-    # The reference: the same request executed in-process. Each leg
-    # gets its OWN store so the served legs really execute rather
-    # than replaying the reference's results.
+    local i
+    for ((i = 1; i <= WORKERS; i++)); do
+        "$W" serve --via "unix:$SOCK" > "$SMOKE/worker-$i.log" 2>&1 &
+        WORKER_PIDS+=($!)
+    done
+
     "$W" demo-request --out "$SMOKE/request-ref.json" \
         --store "$SMOKE/store-ref"
     "$W" run "$SMOKE/request-ref.json" --out "$SMOKE/response-ref.json"
 
-    local PIDS=()
-    for i in 1 2 3 4; do
-        "$W" demo-request --out "$SMOKE/request-$i.json" \
-            --store "$SMOKE/store-$i"
-        "$W" run "$SMOKE/request-$i.json" \
-            --out "$SMOKE/response-$i.json" \
-            --via "unix:$SOCK" > "$SMOKE/client-$i.log" 2>&1 &
-        PIDS+=($!)
-    done
-    "$W" demo-request --out "$SMOKE/request-tcp.json" \
-        --store "$SMOKE/store-tcp"
-    "$W" run "$SMOKE/request-tcp.json" \
-        --out "$SMOKE/response-tcp.json" --via "tcp:127.0.0.1:$PORT"
-    local PID
-    for PID in "${PIDS[@]}"; do
-        wait "$PID"
+    local CLIENT_PIDS=() CLIENT FLAGS WORD n=0
+    for CLIENT in "$@"; do
+        n=$((n + 1))
+        FLAGS=()
+        for WORD in $CLIENT; do
+            FLAGS+=("$(smoke_expand "$WORD")")
+        done
+        "$W" demo-request --out "$SMOKE/request-$n.json" \
+            --store "$SMOKE/store-$n"
+        "$W" run "$SMOKE/request-$n.json" --out "$SMOKE/response-$n.json" \
+            "${FLAGS[@]}" > "$SMOKE/client-$n.log" 2>&1 &
+        CLIENT_PIDS+=($!)
     done
 
-    # Store paths differ per leg, so normalize nothing: the response
-    # JSON carries no paths — byte-identity is the whole contract.
-    for i in 1 2 3 4 tcp; do
+    if [[ "$KILL_ONE" == 1 ]]; then
+        sleep 0.5
+        kill -9 "${WORKER_PIDS[0]}" 2>/dev/null || true
+        wait "${WORKER_PIDS[0]}" 2>/dev/null || true
+    fi
+
+    local PID
+    for PID in "${CLIENT_PIDS[@]}"; do
+        wait "$PID"
+    done
+    for ((i = 1; i <= n; i++)); do
         diff "$SMOKE/response-ref.json" "$SMOKE/response-$i.json"
     done
 
     kill -TERM "$SERVE_PID"
     wait "$SERVE_PID"
+    for PID in "${WORKER_PIDS[@]}"; do
+        wait "$PID" 2>/dev/null || true
+    done
     grep -q "served" "$SMOKE/serve.log" || {
-        echo "serve-smoke: daemon did not shut down gracefully" >&2
+        echo "$NAME: daemon did not shut down gracefully" >&2
         cat "$SMOKE/serve.log" >&2
         return 1
     }
-    echo "serve-smoke: 5 concurrent socket clients byte-identical to the in-process run"
-}
-
-# Fleet-dispatch end-to-end: one gpuperf-serve daemon with a SHARED
-# store, two registered fleet workers, two concurrent clients. One
-# worker is SIGKILLed while requests are in flight: the dispatcher
-# must steal its cells back and re-dispatch, and both clients' JSON
-# responses must stay byte-identical to an in-process run.
-run_fleet_smoke() {
-    local SMOKE="$BUILD_DIR/fleet-smoke"
-    local W="$BUILD_DIR/gpuperf-worker"
-    local S="$BUILD_DIR/gpuperf-serve"
-    local SOCK="$SMOKE/serve.sock"
-    rm -rf "$SMOKE"
-    mkdir -p "$SMOKE"
-
-    # One shared store: the fleet calibrates once, globally.
-    "$S" --via "unix:$SOCK" --store "$SMOKE/store-fleet" --stats-json \
-        > "$SMOKE/serve.log" 2>&1 &
-    local SERVE_PID=$!
-    trap 'kill "$SERVE_PID" 2>/dev/null || true' RETURN
-    for _ in $(seq 1 100); do
-        [[ -S "$SOCK" ]] && grep -q "ready" "$SMOKE/serve.log" && break
-        sleep 0.1
-    done
-    [[ -S "$SOCK" ]] || { echo "fleet-smoke: daemon never bound $SOCK" >&2
-                          cat "$SMOKE/serve.log" >&2; return 1; }
-
-    "$W" serve --via "unix:$SOCK" > "$SMOKE/worker-1.log" 2>&1 &
-    local WORKER1_PID=$!
-    "$W" serve --via "unix:$SOCK" > "$SMOKE/worker-2.log" 2>&1 &
-    local WORKER2_PID=$!
-
-    # The reference: the same request executed in-process on its own
-    # store, so the fleet legs really execute rather than replaying
-    # the reference's results.
-    "$W" demo-request --out "$SMOKE/request-ref.json" \
-        --store "$SMOKE/store-ref"
-    "$W" run "$SMOKE/request-ref.json" --out "$SMOKE/response-ref.json"
-
-    "$W" demo-request --out "$SMOKE/request.json"
-    local PIDS=()
-    for i in 1 2; do
-        "$W" run "$SMOKE/request.json" \
-            --out "$SMOKE/response-$i.json" \
-            --via "unix:$SOCK" > "$SMOKE/client-$i.log" 2>&1 &
-        PIDS+=($!)
-    done
-
-    # Murder one fleet worker while the clients are in flight: its
-    # cells must be stolen back and re-dispatched, losing nothing.
-    sleep 0.5
-    kill -9 "$WORKER1_PID" 2>/dev/null || true
-    wait "$WORKER1_PID" 2>/dev/null || true
-
-    local PID
-    for PID in "${PIDS[@]}"; do
-        wait "$PID"
-    done
-    for i in 1 2; do
-        diff "$SMOKE/response-ref.json" "$SMOKE/response-$i.json"
-    done
-
-    kill -TERM "$SERVE_PID"
-    wait "$SERVE_PID"
-    wait "$WORKER2_PID" 2>/dev/null || true
-    grep -q "served" "$SMOKE/serve.log" || {
-        echo "fleet-smoke: daemon did not shut down gracefully" >&2
-        cat "$SMOKE/serve.log" >&2
-        return 1
-    }
-    grep -q '"workers_registered": 2' "$SMOKE/serve.log" || {
-        echo "fleet-smoke: expected 2 registered workers" >&2
-        cat "$SMOKE/serve.log" >&2
-        return 1
-    }
-    echo "fleet-smoke: 2 clients over a 2-worker fleet (1 killed mid-run) byte-identical to the in-process run"
-}
-
-# Scheduling-policy end-to-end: an SJF daemon with a shared store and
-# one fleet worker serves two clients carrying distinct --client ids;
-# both JSON responses must be byte-identical to an in-process (FIFO)
-# run — the policy reorders work, never results.
-run_sched_smoke() {
-    local SMOKE="$BUILD_DIR/sched-smoke"
-    local W="$BUILD_DIR/gpuperf-worker"
-    local S="$BUILD_DIR/gpuperf-serve"
-    local SOCK="$SMOKE/serve.sock"
-    rm -rf "$SMOKE"
-    mkdir -p "$SMOKE"
-
-    "$S" --via "unix:$SOCK" --sched sjf --store "$SMOKE/store-fleet" \
-        --stats-json > "$SMOKE/serve.log" 2>&1 &
-    local SERVE_PID=$!
-    trap 'kill "$SERVE_PID" 2>/dev/null || true' RETURN
-    for _ in $(seq 1 100); do
-        [[ -S "$SOCK" ]] && grep -q "ready" "$SMOKE/serve.log" && break
-        sleep 0.1
-    done
-    [[ -S "$SOCK" ]] || { echo "sched-smoke: daemon never bound $SOCK" >&2
-                          cat "$SMOKE/serve.log" >&2; return 1; }
-
-    "$W" serve --via "unix:$SOCK" > "$SMOKE/worker.log" 2>&1 &
-    local WORKER_PID=$!
-
-    # The reference: in-process execution IS the fifo ordering.
-    "$W" demo-request --out "$SMOKE/request-ref.json" \
-        --store "$SMOKE/store-ref"
-    "$W" run "$SMOKE/request-ref.json" --out "$SMOKE/response-ref.json"
-
-    "$W" demo-request --out "$SMOKE/request.json"
-    local PIDS=()
-    for i in 1 2; do
-        "$W" run "$SMOKE/request.json" \
-            --out "$SMOKE/response-$i.json" \
-            --via "unix:$SOCK" --client "client-$i" \
-            > "$SMOKE/client-$i.log" 2>&1 &
-        PIDS+=($!)
-    done
-    local PID
-    for PID in "${PIDS[@]}"; do
-        wait "$PID"
-    done
-    for i in 1 2; do
-        diff "$SMOKE/response-ref.json" "$SMOKE/response-$i.json"
-    done
-
-    kill -TERM "$SERVE_PID"
-    wait "$SERVE_PID"
-    wait "$WORKER_PID" 2>/dev/null || true
-    grep -q '"sched_policy": "sjf"' "$SMOKE/serve.log" || {
-        echo "sched-smoke: daemon stats never reported sched_policy sjf" >&2
-        cat "$SMOKE/serve.log" >&2
-        return 1
-    }
-    echo "sched-smoke: sjf-scheduled responses byte-identical to the in-process fifo run"
+    if [[ -n "$STATS_GREP" ]]; then
+        grep -qF "$STATS_GREP" "$SMOKE/serve.log" || {
+            echo "$NAME: daemon log lacks '$STATS_GREP'" >&2
+            cat "$SMOKE/serve.log" >&2
+            return 1
+        }
+    fi
+    echo "$NAME: $n concurrent client(s) over $WORKERS fleet worker(s)" \
+         "byte-identical to the in-process run"
 }
 
 # Store-lifecycle end-to-end: corruption is quarantined (verify exits
@@ -392,6 +256,11 @@ run_store_smoke() {
     # the compactor's min-age guard stay loose, so backdate the
     # just-written store first.
     find "$STORE" -type f -exec touch -t 202001010000 {} +
+    # A typo'd threshold is a usage error, never a silent default.
+    if "$W" compact --store "$STORE" --min-loose abc 2>/dev/null; then
+        echo "store-smoke: compact --min-loose abc exited 0" >&2
+        return 1
+    fi
     "$W" compact --store "$STORE" --force --min-loose 1 \
         > "$SMOKE/compact.json"
     "$W" stats --store "$STORE" > "$SMOKE/stats.json"
@@ -409,33 +278,39 @@ run_store_smoke() {
     echo "store-smoke: corruption quarantined, compacted warm run byte-identical"
 }
 
-if [[ "$API_SMOKE_ONLY" == 1 ]]; then
-    run_api_smoke
-    echo "check.sh: api-smoke green"
-    exit 0
-fi
+# The four end-to-end smokes by name (the --NAME-smoke flags).
+run_smoke() {
+    case "$1" in
+        # 4 Unix clients + 1 TCP client, no fleet.
+        serve)
+            daemon_smoke serve-smoke 0 0 "" \
+                --via "unix:@SOCK@" --via "tcp:127.0.0.1:0" -- \
+                "--via unix:@SOCK@" "--via unix:@SOCK@" \
+                "--via unix:@SOCK@" "--via unix:@SOCK@" \
+                "--via tcp:127.0.0.1:@PORT@" ;;
+        # One shared store (the fleet calibrates once, globally), 2
+        # workers, one SIGKILLed mid-run.
+        fleet)
+            daemon_smoke fleet-smoke 2 1 '"workers_registered": 2' \
+                --via "unix:@SOCK@" --store "@SMOKE@/store-fleet" \
+                --stats-json -- \
+                "--via unix:@SOCK@" "--via unix:@SOCK@" ;;
+        # An SJF daemon, one worker, two tenants: in-process execution
+        # IS the fifo ordering the responses must match.
+        sched)
+            daemon_smoke sched-smoke 1 0 '"sched_policy": "sjf"' \
+                --via "unix:@SOCK@" --sched sjf \
+                --store "@SMOKE@/store-fleet" --stats-json -- \
+                "--via unix:@SOCK@ --client client-1" \
+                "--via unix:@SOCK@ --client client-2" ;;
+        store)
+            run_store_smoke ;;
+    esac
+}
 
-if [[ "$SERVE_SMOKE_ONLY" == 1 ]]; then
-    run_serve_smoke
-    echo "check.sh: serve-smoke green"
-    exit 0
-fi
-
-if [[ "$FLEET_SMOKE_ONLY" == 1 ]]; then
-    run_fleet_smoke
-    echo "check.sh: fleet-smoke green"
-    exit 0
-fi
-
-if [[ "$SCHED_SMOKE_ONLY" == 1 ]]; then
-    run_sched_smoke
-    echo "check.sh: sched-smoke green"
-    exit 0
-fi
-
-if [[ "$STORE_SMOKE_ONLY" == 1 ]]; then
-    run_store_smoke
-    echo "check.sh: store-smoke green"
+if [[ -n "$SMOKE_ONLY" ]]; then
+    run_smoke "$SMOKE_ONLY"
+    echo "check.sh: $SMOKE_ONLY-smoke green"
     exit 0
 fi
 
@@ -484,10 +359,8 @@ fi
 # builds or with GPUPERF_SCHED_GATE=report, like bench_funcsim).
 (cd "$BUILD_DIR" && ./bench_sched_fairness)
 
-run_api_smoke
-run_serve_smoke
-run_fleet_smoke
-run_sched_smoke
-run_store_smoke
+for SMOKE_NAME in serve fleet sched store; do
+    run_smoke "$SMOKE_NAME"
+done
 
 echo "check.sh: all green"

@@ -1,8 +1,7 @@
 /**
  * @file
  * Pre-execution cost prediction for per-cell requests — the glue
- * between the api seams (fleet dispatcher, spool claim order) and
- * sched::CostModel.
+ * between the fleet dispatcher's pending queue and sched::CostModel.
  *
  * Before a cell runs, no profile key exists yet, so the observation
  * key here is the cell's CONTENT (a hash of its serialized request
@@ -38,10 +37,6 @@ std::string cellCostKey(const AnalysisRequest &cell);
  * requests as well as single-cell jobs.
  */
 sched::CostFeatures cellCostFeatures(const AnalysisRequest &req);
-
-/** Predicted cost of @p cell: observed EWMA else static fallback. */
-double estimateCellCost(const sched::CostModel &model,
-                        const AnalysisRequest &cell);
 
 } // namespace api
 } // namespace gpuperf

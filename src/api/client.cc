@@ -11,23 +11,36 @@
 namespace gpuperf {
 namespace api {
 
-ServeClient::ServeClient(std::string unix_path, std::string host,
-                         int port)
-    : unix_path_(std::move(unix_path)), host_(std::move(host)),
-      port_(port)
+ServeClient::ServeClient(const Endpoint &ep)
+    : unix_path_(ep.scheme == Endpoint::Scheme::kUnix ? ep.path : ""),
+      host_(ep.host), port_(ep.port), json_requests_(ep.jsonRequests),
+      max_frame_bytes_(ep.limits.maxFrameBytes),
+      response_timeout_seconds_(ep.timeouts.responseSeconds)
 {
+    if (ep.scheme != Endpoint::Scheme::kUnix &&
+        ep.scheme != Endpoint::Scheme::kTcp)
+        throw std::runtime_error(
+            "a gpuperf-serve client needs unix:PATH or tcp:HOST:PORT, "
+            "got '" + ep.uri() + "'");
 }
 
 ServeClient
 ServeClient::overUnix(std::string path)
 {
-    return ServeClient(std::move(path), std::string(), -1);
+    Endpoint ep;
+    ep.scheme = Endpoint::Scheme::kUnix;
+    ep.path = std::move(path);
+    return ServeClient(ep);
 }
 
 ServeClient
 ServeClient::overTcp(std::string host, int port)
 {
-    return ServeClient(std::string(), std::move(host), port);
+    Endpoint ep;
+    ep.scheme = Endpoint::Scheme::kTcp;
+    ep.host = std::move(host);
+    ep.port = port;
+    return ServeClient(ep);
 }
 
 ServeClient::~ServeClient()
@@ -148,7 +161,7 @@ ServeClient::exchange(const AnalysisRequest &req,
             throw std::runtime_error(
                 "no response from " + describe() + " within " +
                 std::to_string(response_timeout_seconds_) +
-                "s (setResponseTimeout deadline)");
+                "s (the endpoint's timeout option)");
         }
         if (rc <= 0) {
             throw std::runtime_error(

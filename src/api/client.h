@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <string>
 
+#include "api/endpoint.h"
 #include "api/transport.h"
 
 namespace gpuperf {
@@ -25,6 +26,17 @@ namespace api {
 class ServeClient : public Transport
 {
   public:
+    /**
+     * Client for the daemon at @p ep (unix: or tcp:), carrying its
+     * client options: `json` (send JSON instead of binary requests —
+     * responses are binary either way), `max-frame-bytes` (bound on
+     * reply frames) and `timeout` (deadline for each response frame to
+     * START arriving; negative — the default — waits indefinitely, so
+     * a slow cold batch is not an error, while a dead server still
+     * surfaces immediately as a closed connection). Throws
+     * std::runtime_error for a non-socket endpoint.
+     */
+    explicit ServeClient(const Endpoint &ep);
     /** Client for a gpuperf-serve Unix socket at @p path. */
     static ServeClient overUnix(std::string path);
     /** Client for a gpuperf-serve TCP endpoint. */
@@ -50,32 +62,10 @@ class ServeClient : public Transport
 
     std::string describe() const override;
 
-    /**
-     * Send the request as JSON instead of binary (exercises the
-     * server's kRequestJson path; responses are binary either way).
-     */
-    void setJsonRequests(bool json) { json_requests_ = json; }
-
-    /** Bound accepted on reply frames (server streams cells small). */
-    void setMaxFrameBytes(uint64_t bytes) { max_frame_bytes_ = bytes; }
-
-    /**
-     * Deadline (seconds) for each response frame to START arriving.
-     * Negative — the default — waits indefinitely: a slow cold batch
-     * is not an error, and a dead server still surfaces immediately
-     * as a closed connection. Mid-frame stalls stay bounded by
-     * kFrameStallTimeoutSeconds either way.
-     */
-    void setResponseTimeout(double seconds)
-    {
-        response_timeout_seconds_ = seconds;
-    }
-
     /** Drop the connection (next run() reconnects). */
     void disconnect();
 
   private:
-    ServeClient(std::string unix_path, std::string host, int port);
     void connectIfNeeded();
     /** One framed request/response exchange on the live connection. */
     AnalysisResponse exchange(const AnalysisRequest &req,
@@ -86,9 +76,9 @@ class ServeClient : public Transport
     std::string host_;
     int port_ = -1;
     int fd_ = -1;
-    bool json_requests_ = false;
-    uint64_t max_frame_bytes_ = kMaxFrameBytesDefault;
-    double response_timeout_seconds_ = -1.0;
+    bool json_requests_;
+    uint64_t max_frame_bytes_;
+    double response_timeout_seconds_;
 };
 
 } // namespace api

@@ -514,46 +514,6 @@ readResponse(ByteReader &r, AnalysisResponse *resp)
     return r.ok();
 }
 
-bool
-saveRequestFile(const std::string &path, const AnalysisRequest &req,
-                const std::string &key)
-{
-    ByteWriter w;
-    writeRequest(w, req);
-    return store::writeEntryFile(path, kSchemaVersion, key, w.bytes());
-}
-
-bool
-loadRequestFile(const std::string &path, AnalysisRequest *req,
-                const std::string &key)
-{
-    std::string payload;
-    if (!store::readEntryFile(path, kSchemaVersion, key, &payload))
-        return false;
-    ByteReader r(payload);
-    return readRequest(r, req) && r.atEnd();
-}
-
-bool
-saveResponseFile(const std::string &path, const AnalysisResponse &resp,
-                 const std::string &key)
-{
-    ByteWriter w;
-    writeResponse(w, resp);
-    return store::writeEntryFile(path, kSchemaVersion, key, w.bytes());
-}
-
-bool
-loadResponseFile(const std::string &path, AnalysisResponse *resp,
-                 const std::string &key)
-{
-    std::string payload;
-    if (!store::readEntryFile(path, kSchemaVersion, key, &payload))
-        return false;
-    ByteReader r(payload);
-    return readResponse(r, resp) && r.atEnd();
-}
-
 // =====================================================================
 // JSON
 // =====================================================================

@@ -8,7 +8,6 @@
 
 #include "api/cell_cost.h"
 #include "api/codecs.h"
-#include "api/spool.h"
 #include "common/socket.h"
 #include "store/serializer.h"
 
@@ -34,6 +33,38 @@ failedCell(const AnalysisRequest &cell, const std::string &error)
 }
 
 } // namespace
+
+AnalysisRequest
+cellRequest(const AnalysisRequest &req, size_t ki, size_t si)
+{
+    AnalysisRequest cell;
+    cell.schemaVersion = req.schemaVersion;
+    cell.jobName = req.jobName;
+    cell.clientId = req.clientId;
+    cell.kernels = {req.kernels[ki]};
+    cell.specs = {req.specs[si]};
+    cell.sweep = req.sweep;
+    cell.store = req.store;
+    cell.exec = req.exec;
+    cell.exec.numThreads = 1;
+    cell.exec.delivery = ExecutionPolicy::Delivery::kCollect;
+    return cell;
+}
+
+AnalysisResponse
+cellFailureResponse(const AnalysisRequest &cell, const std::string &error)
+{
+    AnalysisResponse resp = makeResponseShell(cell);
+    driver::BatchResult r;
+    r.kernelName = cell.kernels.empty() ? std::string("?")
+                                        : cell.kernels[0].name;
+    r.specName = cell.specs.empty() ? std::string("?")
+                                    : cell.specs[0].name;
+    r.ok = false;
+    r.error = error;
+    resp.cells.push_back(std::move(r));
+    return resp;
+}
 
 Dispatcher::Dispatcher(AnalysisService &local, DispatchOptions opts)
     : local_(local), opts_(opts),
@@ -576,8 +607,8 @@ workerServe(const Endpoint &server, AnalysisService &service,
         try {
             one = service.execute(cell);
         } catch (const std::exception &e) {
-            // A bad job fails its cell, never the worker — mirrors
-            // spoolServe's containment.
+            // A bad job fails its cell, never the worker: a crash
+            // would hand the same poison job to the next worker.
             one = cellFailureResponse(cell, e.what());
         }
         ++st.executed;

@@ -11,10 +11,10 @@
  *   server -> worker   kJob(u64 id + binary single-cell request)
  *   worker -> server   kCell(u64 id + binary single-cell response)
  *
- * Each admitted request is split into single-cell jobs (the same
- * cellRequest derivation the spool protocol uses — which is what
- * makes fleet responses bit-identical to in-process execution, cell
- * for cell), queued, and pushed to the least-loaded live workers,
+ * Each admitted request is split into single-cell jobs (cellRequest
+ * below — the cell == batch bit-identity contract is what makes fleet
+ * responses bit-identical to in-process execution, cell for cell),
+ * queued, and pushed to the least-loaded live workers,
  * bounded per worker. Results stream back in completion order and
  * are reassembled kernel-major.
  *
@@ -25,8 +25,7 @@
  *    zero is just PR 6's server;
  *  - a worker DIES holding jobs (EOF, torn frame, SIGKILL): its
  *    in-flight jobs are stolen back onto the queue and re-dispatched
- *    to surviving workers — the socket analogue of spool
- *    crash-steal;
+ *    to surviving workers (crash-steal);
  *  - a job times out (jobTimeoutSeconds) or exceeds the re-dispatch
  *    bound: the request's own thread executes it locally — forward
  *    progress never depends on fleet health;
@@ -67,6 +66,23 @@
 
 namespace gpuperf {
 namespace api {
+
+/**
+ * The single-cell job derived from @p req at (kernel ki, spec si):
+ * one worker thread, collect delivery (streaming is the requesting
+ * connection's concern).
+ */
+AnalysisRequest cellRequest(const AnalysisRequest &req, size_t ki,
+                            size_t si);
+
+/**
+ * A single-cell response whose cell failed before (or instead of)
+ * executing, labeled from the cell request. Shared by the
+ * dispatcher's local fallback and registered workers, so every seam
+ * fails a cell the same way.
+ */
+AnalysisResponse cellFailureResponse(const AnalysisRequest &cell,
+                                     const std::string &error);
 
 struct DispatchOptions
 {

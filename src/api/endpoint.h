@@ -1,26 +1,21 @@
 /**
  * @file
  * api::Endpoint — THE configuration surface for every seam a request
- * can travel through. PRs 5–7 grew options organically (SpoolOptions,
- * ServerOptions, ServeClient setters, the tools' divergent flags);
- * this type collapses them: one parsed URI plus typed limit/timeout
- * bags, from which each consumer derives its legacy options struct
- * (serverOptionsFor, spoolOptionsFor, ...). The legacy structs remain
- * as thin forwarders for one release — see the migration table in
- * src/api/README.md.
+ * can travel through: one parsed URI plus typed limit/timeout bags,
+ * from which each consumer derives what it needs (Server's listeners
+ * and limits, ServeClient's wire options, workerServe's connection).
  *
  * A URI names the seam and carries options as a query string, with
  * the SAME spellings the tools use as flags:
  *
  *     inproc:
- *     spool:DIR?timeout=300&claim-stale-ms=60000
  *     unix:PATH?max-inflight=256&idle-timeout=30
  *     tcp:HOST:PORT?timeout=30&max-cells=64&json=1
  *
  * Option keys by consumer (unknown keys throw — typos fail fast):
  *
  *     store            store root (server: forced on every request)
- *     timeout          response/collect deadline, seconds
+ *     timeout          client response deadline, seconds
  *     idle-timeout     close idle connections after, seconds
  *     job-timeout      re-dispatch a worker-held cell after, seconds
  *     max-clients      concurrent connections accepted
@@ -28,8 +23,7 @@
  *     max-cells        per-request cell quota
  *     max-frame-bytes  frame payload bound
  *     worker-inflight  cells in flight per registered worker
- *     max-jobs         spool serve: stop after N jobs (0 = unlimited)
- *     claim-stale-ms   spool claim staleness (crash-steal latency)
+ *     max-jobs         worker: stop after N jobs (0 = unlimited)
  *     gc-bytes         server: GC the forced store to this live-byte
  *                      budget (0 = no size bound; see store/lifecycle)
  *     gc-age           server: GC entries idle longer than, seconds
@@ -49,7 +43,6 @@
 #include <string>
 
 #include "sched/policy.h"
-#include "store/lease.h"
 
 namespace gpuperf {
 namespace api {
@@ -62,7 +55,6 @@ struct Endpoint
     enum class Scheme
     {
         kInproc,
-        kSpool,
         kUnix,
         kTcp,
     };
@@ -84,7 +76,7 @@ struct Endpoint
     Scheme scheme = Scheme::kInproc;
     Role role = Role::kClient;
 
-    /** Spool directory (kSpool) or Unix socket path (kUnix). */
+    /** Unix socket path (kUnix only). */
     std::string path;
     /** TCP host (kTcp only); loopback by default. */
     std::string host = "127.0.0.1";
@@ -99,8 +91,8 @@ struct Endpoint
 
     /**
      * Scheduling policy for this seam: how a server's dispatcher
-     * orders pending jobs, how spoolServe orders claims, and which
-     * ready order the local executor's task graph uses. Changes
+     * orders pending jobs and which ready order the local executor's
+     * task graph uses. Changes
      * execution ORDER only — responses stay bit-identical to kFifo.
      */
     sched::SchedPolicy schedPolicy = sched::SchedPolicy::kFifo;
@@ -121,7 +113,7 @@ struct Endpoint
         uint64_t maxFrameBytes = 256ull << 20;
         /** Dispatch: cells in flight per registered worker. */
         size_t maxWorkerInFlight = 4;
-        /** Spool serve: stop after N executed jobs (0 = unlimited). */
+        /** Worker serve: stop after N executed jobs (0 = unlimited). */
         size_t maxJobs = 0;
         /** Server GC: live-byte budget for the forced store (0 = off). */
         uint64_t gcBytes = 0;
@@ -133,15 +125,8 @@ struct Endpoint
         double idleSeconds = -1.0;
         /** Client: response-frame deadline (negative = indefinite). */
         double responseSeconds = -1.0;
-        /** Spool collect deadline, seconds. */
-        double collectSeconds = 600.0;
         /** Dispatch: re-dispatch a worker-held cell after, seconds. */
         double jobSeconds = 600.0;
-        /** Spool collect poll backoff (initial -> cap). */
-        double pollInitialSeconds = 0.002;
-        double pollMaxSeconds = 0.25;
-        /** Spool claim staleness threshold, milliseconds. */
-        int64_t claimStaleMs = store::kLeaseStaleAfterMsDefault;
         /** Server GC: evict entries idle longer than, seconds (0 = off). */
         double gcAgeSeconds = 0.0;
         /** Server GC: seconds between sweeps (with a bound set). */
@@ -154,8 +139,8 @@ struct Endpoint
     /**
      * Parse "scheme:authority?k=v&k=v" into an Endpoint for @p role.
      * Throws std::runtime_error on an unknown scheme, a malformed
-     * authority (tcp without host:port, spool/unix without a path, a
-     * bad port) or an unrecognized/ill-typed option key.
+     * authority (tcp without host:port, unix without a path, a bad
+     * port) or an unrecognized/ill-typed option key.
      */
     static Endpoint parse(const std::string &uri,
                           Role role = Role::kClient);
@@ -166,10 +151,10 @@ struct Endpoint
 
 /**
  * Transport for @p ep (same backends as the string overload of
- * makeTransport in api/transport.h, which now parses through
- * Endpoint::parse — so query options work on every URI). Client
- * options (timeout, max-frame-bytes, json) are applied to socket
- * transports; spool transports collect under ep.timeouts.
+ * makeTransport in api/transport.h, which parses through
+ * Endpoint::parse — so query options work on every URI). Socket
+ * transports are constructed with the client options (timeout,
+ * max-frame-bytes, json).
  */
 std::unique_ptr<Transport> makeTransport(const Endpoint &ep,
                                          AnalysisService *local = nullptr);

@@ -78,23 +78,18 @@ serverOptionsFor(const std::vector<Endpoint> &endpoints)
     return opts;
 }
 
-Server::Server(ServerOptions opts)
-    : opts_(std::move(opts)),
+Server::Server(const Endpoint &endpoint)
+    : Server(std::vector<Endpoint>{endpoint})
+{
+}
+
+Server::Server(const std::vector<Endpoint> &endpoints)
+    : opts_(serverOptionsFor(endpoints)),
       dispatcher_(service_, dispatchOptionsFor(opts_))
 {
     // One policy drives both halves: the dispatcher's pending queue
     // (fleet path) and the local service's task-graph ready order.
     service_.setSchedPolicy(opts_.schedPolicy);
-}
-
-Server::Server(const Endpoint &endpoint)
-    : Server(serverOptionsFor(std::vector<Endpoint>{endpoint}))
-{
-}
-
-Server::Server(const std::vector<Endpoint> &endpoints)
-    : Server(serverOptionsFor(endpoints))
-{
 }
 
 Server::~Server()

@@ -24,14 +24,12 @@
  *  - per-frame payloads are bounded (maxFrameBytes) and refused
  *    before allocation.
  *
- * Failure containment mirrors the spool protocol: a malformed request
- * is answered with kError, never crashes the server; a client that
- * disconnects mid-stream just loses its deliveries (already-computed
- * artifacts stay in the shared stores, so a reconnecting client
- * re-runs warm — the socket analogue of spool crash-steal, whose
- * recovery the store leases already provide); stop() drains in-flight
- * requests so every admitted cell is delivered or failed, never
- * silently dropped.
+ * Failure containment: a malformed request is answered with kError,
+ * never crashes the server; a client that disconnects mid-stream just
+ * loses its deliveries (already-computed artifacts stay in the shared
+ * stores, so a reconnecting client re-runs warm); stop() drains
+ * in-flight requests so every admitted cell is delivered or failed,
+ * never silently dropped.
  */
 
 #ifndef GPUPERF_API_SERVER_H
@@ -56,10 +54,9 @@ namespace gpuperf {
 namespace api {
 
 /**
- * DEPRECATED as a public surface: build servers from api::Endpoint
- * URIs (Server(const Endpoint &) / serverOptionsFor) instead — see
- * the migration table in src/api/README.md. The struct remains the
- * internal representation for one release.
+ * The server's effective configuration, derived from its api::Endpoint
+ * listeners by serverOptionsFor (servers are built from Endpoints only;
+ * Server::options() exposes the result).
  */
 struct ServerOptions
 {
@@ -163,8 +160,6 @@ class Server
     explicit Server(const Endpoint &endpoint);
     /** ...or several (unix + tcp), first one carries the options. */
     explicit Server(const std::vector<Endpoint> &endpoints);
-    /** DEPRECATED forwarder (one release); prefer the Endpoint ctors. */
-    explicit Server(ServerOptions opts);
     ~Server();
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;

@@ -41,9 +41,9 @@ materializeAll(const AnalysisRequest &req)
 /**
  * The wire-input mirror of arch::GpuSpec::validate(): the same rules
  * (plus positivity of every field the simulators divide by), but
- * THROWING instead of fatal()-exiting. A malformed spec from a spool
+ * THROWING instead of fatal()-exiting. A malformed spec from a fleet
  * job or JSON request must fail that request, never crash the
- * service — and in spool mode a crash would park the job for the
+ * service — and on a fleet worker a crash would hand the job to the
  * next worker to crash on.
  */
 void

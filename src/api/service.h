@@ -97,7 +97,7 @@ class AnalysisService
      * escape hatch for benches and tests that pin executor-level
      * counters (store hits, funcsims computed); application code
      * should not need it. The cache is bounded (kMaxExecutors,
-     * least-recently-used eviction — a long-lived spool worker
+     * least-recently-used eviction — a long-lived fleet worker
      * serving many distinct store policies must not accumulate
      * thread pools and memos forever), so the reference is
      * guaranteed valid only until requests for other policies are
@@ -171,14 +171,14 @@ class AnalysisService
 
 /**
  * Build the response scaffold for @p req (name, shape) — shared by
- * the in-process executor and the spool collector.
+ * the in-process executor and the fleet dispatcher.
  */
 AnalysisResponse makeResponseShell(const AnalysisRequest &req);
 
 /**
  * Validate @p req (schema version, job bodies present, positive
  * shapes). Throws std::runtime_error on violations. Executed by
- * AnalysisService::execute and the spool submitter.
+ * AnalysisService::execute and the fleet dispatcher.
  */
 void validateRequest(const AnalysisRequest &req);
 

@@ -7,7 +7,6 @@
 
 #include "api/client.h"
 #include "api/endpoint.h"
-#include "api/spool.h"
 #include "common/socket.h"
 
 namespace gpuperf {
@@ -156,39 +155,6 @@ class InProcessTransport : public Transport
 };
 
 /**
- * The shared-filesystem backend. With a local service the jobs are
- * served in-process (self-contained, like runSpooled); without one
- * the caller is trusting external gpuperf-worker processes to drain
- * the directory before the collect deadline.
- */
-class SpoolTransport : public Transport
-{
-  public:
-    SpoolTransport(std::string dir, AnalysisService *local,
-                   SpoolOptions opts)
-        : dir_(std::move(dir)), local_(local), opts_(opts)
-    {
-    }
-
-    AnalysisResponse run(const AnalysisRequest &req,
-                         const CellCallback &) override
-    {
-        // No streaming wire through a directory: degrade to collect.
-        if (local_)
-            return runSpooled(dir_, req, *local_, opts_);
-        spoolSubmit(dir_, req);
-        return spoolCollect(dir_, req, opts_);
-    }
-
-    std::string describe() const override { return "spool:" + dir_; }
-
-  private:
-    std::string dir_;
-    AnalysisService *local_;
-    SpoolOptions opts_;
-};
-
-/**
  * Decorator stamping the endpoint's `?client=` identity onto every
  * request whose own clientId is empty — how one process impersonates
  * one tenant of a shared daemon without touching request-building
@@ -234,22 +200,10 @@ makeTransport(const Endpoint &ep, AnalysisService *local)
     case Endpoint::Scheme::kInproc:
         transport = std::make_unique<InProcessTransport>(local);
         break;
-    case Endpoint::Scheme::kSpool:
-        transport = std::make_unique<SpoolTransport>(
-            ep.path, local, spoolOptionsFor(ep));
-        break;
     case Endpoint::Scheme::kUnix:
-    case Endpoint::Scheme::kTcp: {
-        auto client = std::make_unique<ServeClient>(
-            ep.scheme == Endpoint::Scheme::kUnix
-                ? ServeClient::overUnix(ep.path)
-                : ServeClient::overTcp(ep.host, ep.port));
-        client->setJsonRequests(ep.jsonRequests);
-        client->setMaxFrameBytes(ep.limits.maxFrameBytes);
-        client->setResponseTimeout(ep.timeouts.responseSeconds);
-        transport = std::move(client);
+    case Endpoint::Scheme::kTcp:
+        transport = std::make_unique<ServeClient>(ep);
         break;
-    }
     }
     if (!transport)
         throw std::runtime_error("unhandled endpoint scheme");

@@ -6,9 +6,9 @@
  *
  *   - in-process: straight into a local AnalysisService (the zero-cost
  *     backend every other one is byte-diffed against),
- *   - spool:      the shared-filesystem worker protocol (api/spool.h),
  *   - socket:     the gpuperf-serve daemon over a framed TCP or
- *     Unix-domain stream (api/client.h / api/server.h).
+ *     Unix-domain stream (api/client.h / api/server.h), which may in
+ *     turn fan cells out to a worker fleet (api/dispatch.h).
  *
  * Callers written against Transport (the gpuperf-worker `run` verb,
  * benches, tests) are oblivious to which seam executes the job, and
@@ -125,9 +125,8 @@ int readFrame(int fd, FrameType *type, std::string *payload,
 
 /**
  * One way of getting an AnalysisRequest executed. Backends differ in
- * WHERE the work runs (this process, spool workers on a shared
- * filesystem, a socket daemon); they agree on the result, bit for
- * bit.
+ * WHERE the work runs (this process, a socket daemon and its fleet);
+ * they agree on the result, bit for bit.
  */
 class Transport
 {
@@ -138,8 +137,7 @@ class Transport
      * Execute @p req and return the assembled kernel-major response.
      * When @p onCell is set and the request asks for streaming
      * delivery, finished cells are additionally delivered in
-     * completion order (backends without a streaming wire — the spool
-     * — degrade to collect-then-return and skip the callback).
+     * completion order.
      * Throws std::runtime_error on transport-level failures
      * (unreachable peer, protocol error, rejected request); per-cell
      * analysis failures come back as ok == false cells.
@@ -156,9 +154,6 @@ class Transport
  *
  *     inproc:              local AnalysisService (@p local when given,
  *                          else an owned one)
- *     spool:DIR            spool directory; @p local serves the jobs
- *                          in-process when given (self-contained run),
- *                          else external workers must drain DIR
  *     unix:PATH            gpuperf-serve over a Unix-domain socket
  *     tcp:HOST:PORT        gpuperf-serve over TCP
  *

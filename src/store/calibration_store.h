@@ -28,9 +28,8 @@ namespace store {
 
 /**
  * The calibration store's lease handle IS the generic store::Lease
- * (PR 5 generalized it; ProfileStore/TimingStore and the spool worker
- * protocol share the same mechanism). The alias keeps PR 4 callers
- * compiling.
+ * (ProfileStore and TimingStore share the same mechanism). The alias
+ * keeps older callers compiling.
  */
 using CalibrationLease = Lease;
 

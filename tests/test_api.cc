@@ -4,33 +4,26 @@
  * bit-exactly (binary and JSON, including non-finite doubles and
  * >2^53 counters), the service reproduces the pre-redesign
  * BatchRunner/runSerial results double for double across worker
- * counts and store warmth, and the spool-directory worker protocol
- * (claim, crash-steal, collect) delivers bit-identical responses.
+ * counts and store warmth, and malformed wire input fails softly.
  */
 
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <limits>
-#include <thread>
 
 #include "api/codecs.h"
-#include "api/endpoint.h"
 #include "api/json.h"
 #include "api/registry.h"
 #include "api/request.h"
 #include "api/service.h"
-#include "api/spool.h"
 #include "driver/batch_runner.h"
 #include "driver/demo_cases.h"
 #include "isa/builder.h"
 #include "store/codecs.h"
-#include "store/lease.h"
 #include "store/serializer.h"
 
 namespace gpuperf {
@@ -71,21 +64,6 @@ sharedFakeTables()
 {
     return std::make_shared<const model::CalibrationTables>(
         fakeTables());
-}
-
-/** A scaled-down machine whose microbenchmark calibration is quick —
- *  spool tests calibrate for real (workers share nothing in-memory). */
-arch::GpuSpec
-tinySpec()
-{
-    arch::GpuSpec tiny = arch::GpuSpec::gtx285();
-    tiny.name = "GTX tiny api";
-    tiny.numSms = 3;
-    tiny.maxWarpsPerSm = 8;
-    tiny.maxThreadsPerSm = 256;
-    tiny.maxThreadsPerBlock = 256;
-    tiny.validate();
-    return tiny;
 }
 
 /** The standard request every execution test uses: 3 refs x 2 specs. */
@@ -202,7 +180,7 @@ TEST(JsonTest, ParsesWhatItDumps)
     std::string error;
     ASSERT_TRUE(Json::parse(text, &parsed, &error)) << error;
     // Insertion order is preserved, so re-dumping reproduces the
-    // bytes — the property the api-smoke diff relies on.
+    // bytes — the property the check.sh smoke diffs rely on.
     EXPECT_EQ(parsed.dump(), text);
     EXPECT_EQ(parsed.find("s")->asString(),
               "a \"quoted\"\nline\twith\\stuff");
@@ -285,21 +263,6 @@ TEST(RequestCodecTest, JsonRoundTripIsExact)
     EXPECT_EQ(requestToJson(back), text);
 }
 
-TEST(RequestCodecTest, FileRoundTripValidatesKeyAndVersion)
-{
-    const std::string dir = freshDir("reqfile");
-    ASSERT_TRUE(store::makeDirs(dir));
-    const std::string path = dir + "/req.bin";
-    const AnalysisRequest req = testRequest();
-    ASSERT_TRUE(saveRequestFile(path, req, "job-1"));
-
-    AnalysisRequest back;
-    EXPECT_FALSE(loadRequestFile(path, &back, "job-2"))
-        << "a foreign key must miss";
-    ASSERT_TRUE(loadRequestFile(path, &back, "job-1"));
-    EXPECT_EQ(requestBytes(back), requestBytes(req));
-}
-
 TEST(RequestCodecTest, RejectsWrongSchemaVersion)
 {
     AnalysisRequest req = testRequest();
@@ -364,7 +327,7 @@ TEST(RequestCodecTest, ForgedKernelStreamsFailSoftly)
 {
     // Structurally malformed instruction streams must FAIL the parse
     // — never reach the Kernel constructor, whose validation is a
-    // process abort (a crashed spool worker parks its job for the
+    // process abort (a crashed fleet worker hands its job to the
     // next worker to crash on).
     const int kIf = static_cast<int>(isa::Opcode::kIf);
     const int kMov = static_cast<int>(isa::Opcode::kMov);
@@ -498,7 +461,7 @@ TEST(ResponseCodecTest, JsonRoundTripIsExactIncludingNonFinite)
     EXPECT_EQ(back.cells[0].analysis.measurement.stats.stages[0]
                   .typeCounts[1],
               (1ull << 60) + 12345);
-    // Dump-of-parse is byte-stable (the api-smoke diff contract).
+    // Dump-of-parse is byte-stable (the smoke-diff contract).
     EXPECT_EQ(responseToJson(back), text);
 }
 
@@ -698,7 +661,7 @@ TEST(AnalysisServiceTest, MalformedWireSpecsAreRejectedNotFatal)
 {
     // A spec that deserializes fine but would divide-by-zero or
     // fatal() inside the simulators must be rejected up front with a
-    // throw (which a spool worker turns into a failed cell), never
+    // throw (which a fleet worker turns into a failed cell), never
     // crash the process.
     const auto rejected = [](void (*corrupt)(arch::GpuSpec *)) {
         AnalysisRequest req = testRequest();
@@ -715,280 +678,6 @@ TEST(AnalysisServiceTest, MalformedWireSpecsAreRejectedNotFatal)
         s->coreClockHz = std::nan("");
     });
     rejected([](arch::GpuSpec *s) { s->maxThreadsPerBlock = 0; });
-}
-
-TEST(SpoolTest, MalformedSpecJobAnswersAsFailedCell)
-{
-    AnalysisRequest req = testRequest();
-    req.kernels = {req.kernels[0]};
-    req.specs = {tinySpec()};
-    req.specs[0].numSharedBanks = 0; // poison
-
-    // Parent side: submit refuses the poison request outright.
-    const std::string spool = freshDir("spool-poison");
-    EXPECT_THROW(spoolSubmit(spool, req), std::runtime_error);
-
-    // Worker side: a poison job FILE (foreign submitter, corrupt
-    // tooling) must be answered with a failed cell — a crash would
-    // park the job for the next worker to crash on. Plant the file
-    // directly, bypassing submit's validation.
-    ASSERT_TRUE(store::makeDirs(spool + "/jobs"));
-    ASSERT_TRUE(store::makeDirs(spool + "/responses"));
-    const auto ids = spoolJobIds(req);
-    ASSERT_EQ(ids.size(), 1u);
-    ASSERT_TRUE(saveRequestFile(spool + "/jobs/" + ids[0] + ".job",
-                                cellRequest(req, 0, 0), ids[0]));
-    AnalysisService service;
-    const ServeStats stats = spoolServe(spool, service);
-    EXPECT_EQ(stats.executed, 1u);
-    EXPECT_EQ(stats.failedCells, 1u);
-
-    std::string payload;
-    ASSERT_TRUE(store::readEntryFile(
-        spool + "/responses/" + ids[0] + ".resp", kSchemaVersion,
-        ids[0], &payload));
-    store::ByteReader r(payload);
-    AnalysisResponse resp;
-    ASSERT_TRUE(readResponse(r, &resp));
-    ASSERT_EQ(resp.cells.size(), 1u);
-    EXPECT_FALSE(resp.cells[0].ok);
-    EXPECT_NE(resp.cells[0].error.find("shared-memory"),
-              std::string::npos)
-        << resp.cells[0].error;
-}
-
-// --- Spool protocol ---------------------------------------------------
-
-TEST(SpoolTest, SpooledRunIsBitIdenticalToInProcess)
-{
-    AnalysisRequest req = testRequest();
-    // A TINY spec keeps the real calibration quick (workers share
-    // nothing in-memory with the in-process leg).
-    req.specs = {tinySpec()};
-    req.store.storeDir = freshDir("spool-store-inproc");
-    req.exec.numThreads = 2;
-
-    AnalysisService inproc;
-    const AnalysisResponse direct = inproc.run(req);
-
-    // The spooled leg gets its OWN store: it must recompute every
-    // cell in the worker (not be served warm from the in-process
-    // leg's results) and still come back bit-identical.
-    AnalysisRequest spooled_req = req;
-    spooled_req.store.storeDir = freshDir("spool-store-worker");
-    const std::string spool = freshDir("spool");
-    AnalysisService worker;
-    const AnalysisResponse spooled =
-        runSpooled(spool, spooled_req, worker);
-    expectEqual(spooled, direct);
-    EXPECT_GT(worker.executorFor(cellRequest(spooled_req, 0, 0))
-                  .funcsimsComputed(),
-              0u)
-        << "the worker must have simulated, not served warm";
-}
-
-TEST(SpoolTest, SubmitIsIdempotentAndIdsAreDeterministic)
-{
-    AnalysisRequest req = testRequest();
-    const std::string spool = freshDir("spool-idem");
-    const auto ids1 = spoolSubmit(spool, req);
-    const auto ids2 = spoolSubmit(spool, req);
-    EXPECT_EQ(ids1, ids2);
-    EXPECT_EQ(ids1, spoolJobIds(req));
-    EXPECT_EQ(ids1.size(), req.kernels.size() * req.specs.size());
-    // Ids are kernel-major and embed the cell position.
-    EXPECT_EQ(ids1[0].substr(0, 9), "0000-0000");
-    EXPECT_EQ(ids1[1].substr(0, 9), "0000-0001");
-}
-
-TEST(SpoolTest, LiveClaimsAreRespectedAndReleasedOnesServed)
-{
-    AnalysisRequest req = testRequest();
-    req.kernels = {req.kernels[0]};
-    req.specs = {tinySpec()};
-    req.store.storeDir = freshDir("spool-claim-store");
-    const std::string spool = freshDir("spool-claim");
-    const auto ids = spoolSubmit(spool, req);
-    ASSERT_EQ(ids.size(), 1u);
-
-    // Another live worker (us) holds the claim: a single pass must
-    // execute nothing.
-    store::Lease claim = store::tryAcquireLease(
-        spool + "/jobs/" + ids[0] + ".claim");
-    ASSERT_TRUE(claim.held());
-    AnalysisService service;
-    // One claim pass (drain stays a call-site choice; everything
-    // else comes off the spool: endpoint).
-    ServeOptions once = spoolServeOptionsFor(
-        Endpoint::parse("spool:" + spool, Endpoint::Role::kWorker));
-    once.drain = false;
-    EXPECT_EQ(spoolServe(spool, service, once).executed, 0u);
-
-    // Released: the next pass executes it.
-    claim.release();
-    EXPECT_EQ(spoolServe(spool, service, once).executed, 1u);
-}
-
-TEST(SpoolTest, CrashedWorkersClaimIsStolen)
-{
-    AnalysisRequest req = testRequest();
-    req.kernels = {req.kernels[0]};
-    req.specs = {tinySpec()};
-    req.store.storeDir = freshDir("spool-steal-store");
-    const std::string spool = freshDir("spool-steal");
-    const auto ids = spoolSubmit(spool, req);
-    ASSERT_EQ(ids.size(), 1u);
-
-    // A claim from a worker that died mid-job: dead pid, ancient
-    // timestamp. Drain-mode serving must break it and answer the
-    // job (the crash-steal path).
-    {
-        std::ofstream marker(spool + "/jobs/" + ids[0] + ".claim");
-        marker << 999999999 << " " << 1 << "\n";
-    }
-    AnalysisService service;
-    const ServeStats stats = spoolServe(spool, service);
-    EXPECT_EQ(stats.executed, 1u);
-    EXPECT_EQ(stats.failedCells, 0u);
-
-    const AnalysisResponse resp = spoolCollect(spool, req, 10.0);
-    ASSERT_EQ(resp.cells.size(), 1u);
-    EXPECT_TRUE(resp.cells[0].ok) << resp.cells[0].error;
-}
-
-TEST(SpoolTest, CollectTimesOutWithFailedCellsNotAHang)
-{
-    AnalysisRequest req = testRequest();
-    const std::string spool = freshDir("spool-timeout");
-    spoolSubmit(spool, req);
-    // No worker serves: collect must come back with per-cell timeout
-    // failures, names filled from the request.
-    const AnalysisResponse resp = spoolCollect(spool, req, 0.1);
-    ASSERT_EQ(resp.cells.size(),
-              req.kernels.size() * req.specs.size());
-    for (const driver::BatchResult &cell : resp.cells) {
-        EXPECT_FALSE(cell.ok);
-        EXPECT_NE(cell.error.find("timeout"), std::string::npos)
-            << cell.error;
-        EXPECT_FALSE(cell.kernelName.empty());
-        EXPECT_FALSE(cell.specName.empty());
-    }
-}
-
-TEST(SpoolTest, CollectSurvivesAnEmptyCellGrid)
-{
-    // Zero specs (or zero kernels) means zero cells: collect must
-    // return the empty response shell immediately — the old failure
-    // labeling divided the flat index by the spec count, which is a
-    // division by zero here.
-    AnalysisRequest req = testRequest();
-    req.specs.clear();
-    const std::string spool = freshDir("spool-empty");
-    const AnalysisResponse resp = spoolCollect(spool, req, 0.1);
-    EXPECT_TRUE(resp.cells.empty());
-    EXPECT_EQ(resp.numKernels, req.kernels.size());
-    EXPECT_EQ(resp.numSpecs, 0u);
-
-    req = testRequest();
-    req.kernels.clear();
-    EXPECT_TRUE(spoolCollect(spool, req, 0.1).cells.empty());
-}
-
-TEST(SpoolTest, TimeoutCellsAreLabeledByPositionNotArithmetic)
-{
-    // A full sweep-expanded grid (3 kernels x 2 specs) that nobody
-    // serves: every timeout cell must carry the kernel and spec name
-    // of ITS OWN position, derived from the id mapping — not
-    // reconstructed from the flat index.
-    const AnalysisRequest req = testRequest();
-    const std::string spool = freshDir("spool-labels");
-    spoolSubmit(spool, req);
-    const AnalysisResponse resp = spoolCollect(spool, req, 0.1);
-    const auto cells = spoolCells(req);
-    ASSERT_EQ(resp.cells.size(), cells.size());
-    ASSERT_EQ(cells.size(),
-              req.kernels.size() * req.specs.size());
-    for (size_t i = 0; i < cells.size(); ++i) {
-        EXPECT_FALSE(resp.cells[i].ok);
-        EXPECT_EQ(resp.cells[i].kernelName,
-                  req.kernels[cells[i].kernel].name)
-            << "cell " << i;
-        EXPECT_EQ(resp.cells[i].specName,
-                  req.specs[cells[i].spec].name)
-            << "cell " << i;
-        EXPECT_NE(resp.cells[i].error.find(cells[i].id),
-                  std::string::npos)
-            << "the error must name the job id: "
-            << resp.cells[i].error;
-    }
-}
-
-TEST(SpoolTest, MalformedResponseFileIsLabeledAndSurfaced)
-{
-    const AnalysisRequest req = testRequest();
-    const std::string spool = freshDir("spool-malformed");
-    const auto ids = spoolSubmit(spool, req);
-    const auto cells = spoolCells(req);
-    ASSERT_GE(cells.size(), 4u);
-
-    // Plant a structurally valid entry file whose payload is NOT a
-    // single-cell response, for a cell in the middle of the grid.
-    const size_t victim = 3;
-    ASSERT_TRUE(store::writeEntryFile(
-        spool + "/responses/" + cells[victim].id + ".resp",
-        kSchemaVersion, cells[victim].id, "not a response"));
-
-    const AnalysisResponse resp = spoolCollect(spool, req, 0.1);
-    ASSERT_EQ(resp.cells.size(), cells.size());
-    EXPECT_FALSE(resp.cells[victim].ok);
-    EXPECT_NE(resp.cells[victim].error.find("malformed"),
-              std::string::npos)
-        << resp.cells[victim].error;
-    EXPECT_EQ(resp.cells[victim].kernelName,
-              req.kernels[cells[victim].kernel].name);
-    EXPECT_EQ(resp.cells[victim].specName,
-              req.specs[cells[victim].spec].name);
-}
-
-TEST(SpoolTest, CollectBackoffStillDeliversLateResponses)
-{
-    // The exponential poll backoff must not make collect miss a
-    // response that lands late: serve the jobs from a helper thread
-    // after a delay longer than several initial poll periods.
-    AnalysisRequest req = testRequest();
-    req.kernels = {req.kernels[0]};
-    req.specs = {tinySpec()};
-    req.store.storeDir = freshDir("spool-late-store");
-    const std::string spool = freshDir("spool-late");
-    spoolSubmit(spool, req);
-
-    std::thread server([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(300));
-        AnalysisService service;
-        spoolServe(spool, service);
-    });
-    const SpoolOptions opts = spoolOptionsFor(
-        Endpoint::parse("spool:" + spool + "?timeout=60"));
-    const AnalysisResponse resp = spoolCollect(spool, req, opts);
-    server.join();
-    ASSERT_EQ(resp.cells.size(), 1u);
-    EXPECT_TRUE(resp.cells[0].ok) << resp.cells[0].error;
-}
-
-TEST(SpoolTest, FailedCellsTravelThroughTheSpool)
-{
-    AnalysisRequest req = testRequest();
-    req.kernels = {KernelJob::fromRef(
-        "broken", CaseRef{"no-such-factory", {}, {}})};
-    req.specs = {req.specs[0]};
-    const std::string spool = freshDir("spool-failed");
-    AnalysisService service;
-    const AnalysisResponse resp = runSpooled(spool, req, service);
-    ASSERT_EQ(resp.cells.size(), 1u);
-    EXPECT_FALSE(resp.cells[0].ok);
-    EXPECT_NE(resp.cells[0].error.find("no-such-factory"),
-              std::string::npos)
-        << resp.cells[0].error;
 }
 
 } // namespace

@@ -4,8 +4,9 @@
  * registered workers with responses bit-identical to in-process
  * execution, workers may join mid-request, a worker dying while
  * holding cells loses nothing (steal + re-dispatch, exactly-once
- * delivery), zero workers means graceful local execution, and a
- * malformed worker is killed without ever dropping a client.
+ * delivery), zero workers means graceful local execution, a
+ * malformed worker is killed without ever dropping a client, and a
+ * poison or failing job fails only its own cell.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +27,6 @@
 #include "api/endpoint.h"
 #include "api/server.h"
 #include "api/service.h"
-#include "api/spool.h"
 #include "api/transport.h"
 #include "common/socket.h"
 #include "store/serializer.h"
@@ -433,15 +433,143 @@ TEST(DispatchTest, MalformedWorkerResultKillsTheWorkerNotTheClient)
     EXPECT_EQ(rig.server->stats().disconnects, 0u);
 }
 
+// --- Failed cells stay cells -----------------------------------------
+
+/** Send one kJob to a registered worker and read back its kCell. */
+AnalysisResponse
+jobRoundTrip(int fd, uint64_t id, const AnalysisRequest &cell)
+{
+    store::ByteWriter w;
+    w.u64(id);
+    writeRequest(w, cell);
+    AnalysisResponse one;
+    if (!writeFrame(fd, FrameType::kJob, w.bytes())) {
+        ADD_FAILURE() << "cannot send job " << id;
+        return one;
+    }
+    FrameType type;
+    std::string body;
+    std::string err;
+    if (readFrame(fd, &type, &body, kMaxFrameBytesDefault, nullptr,
+                  &err, /*idle_timeout_seconds=*/60.0) != 1 ||
+        type != FrameType::kCell) {
+        ADD_FAILURE() << "no kCell answer to job " << id << ": " << err;
+        return one;
+    }
+    store::ByteReader r(body);
+    EXPECT_EQ(r.u64(), id);
+    EXPECT_TRUE(readResponse(r, &one) && r.atEnd());
+    return one;
+}
+
+TEST(DispatchTest, PoisonJobFailsItsCellAndTheWorkerKeepsServing)
+{
+    // A raw-socket fake server: a poison job (a spec that decodes fine
+    // but cannot be simulated) must come back as a failed cell — a
+    // crash would hand it to the next worker to crash on — and the
+    // same worker must then answer a valid job correctly.
+    const std::string path = freshSocketPath("poison");
+    std::string err;
+    const int listen_fd = listenUnix(path, &err);
+    ASSERT_GE(listen_fd, 0) << err;
+
+    const AnalysisRequest req = testRequest();
+    const AnalysisRequest good = cellRequest(req, 0, 0);
+    AnalysisRequest poison = good;
+    poison.specs[0].numSharedBanks = 0;
+    AnalysisService worker_service;
+    adoptBothShapes(worker_service, req);
+    AnalysisService reference;
+    adoptBothShapes(reference, req);
+
+    WorkerLoopStats stats;
+    std::string worker_error;
+    std::thread worker([&] {
+        try {
+            stats = workerServe(
+                Endpoint::parse("unix:" + path, Endpoint::Role::kWorker),
+                worker_service);
+        } catch (const std::exception &e) {
+            worker_error = e.what();
+        }
+    });
+
+    {
+        // Every exit from this block (a failed ASSERT included) hangs
+        // up on the worker, whose loop then returns, and joins it.
+        int fd = -1;
+        struct HangUp
+        {
+            int &fd;
+            int listen_fd;
+            std::thread &worker;
+            ~HangUp()
+            {
+                closeSocket(fd);
+                closeSocket(listen_fd);
+                worker.join();
+            }
+        } hang_up{fd, listen_fd, worker};
+
+        ASSERT_TRUE(waitReadable(listen_fd, 30.0));
+        fd = acceptClient(listen_fd);
+        ASSERT_GE(fd, 0);
+        FrameType type;
+        std::string hello;
+        ASSERT_EQ(readFrame(fd, &type, &hello, kMaxFrameBytesDefault,
+                            nullptr, &err, 30.0),
+                  1)
+            << err;
+        ASSERT_EQ(type, FrameType::kRegister);
+        ASSERT_TRUE(writeFrame(fd, FrameType::kRegister, "1"));
+
+        const AnalysisResponse failed = jobRoundTrip(fd, 1, poison);
+        ASSERT_EQ(failed.cells.size(), 1u);
+        EXPECT_FALSE(failed.cells[0].ok);
+        EXPECT_NE(failed.cells[0].error.find("shared-memory"),
+                  std::string::npos)
+            << failed.cells[0].error;
+
+        expectEqual(jobRoundTrip(fd, 2, good), reference.execute(good));
+    }
+    ::unlink(path.c_str());
+    EXPECT_TRUE(worker_error.empty()) << worker_error;
+    EXPECT_EQ(stats.executed, 2u);
+    EXPECT_EQ(stats.failedCells, 1u);
+}
+
+TEST(DispatchTest, FailedCellTravelsThroughTheFleet)
+{
+    FleetRig rig("failed");
+    rig.req.kernels = {KernelJob::fromRef(
+        "broken", CaseRef{"no-such-factory", {}, {}})};
+    rig.req.specs = {rig.req.specs[0]};
+    rig.addWorker();
+
+    ServeClient client = ServeClient::overUnix(rig.unixPath);
+    const AnalysisResponse resp = client.run(rig.req);
+    ASSERT_EQ(resp.cells.size(), 1u);
+    EXPECT_FALSE(resp.cells[0].ok);
+    EXPECT_NE(resp.cells[0].error.find("no-such-factory"),
+              std::string::npos)
+        << resp.cells[0].error;
+
+    const DispatchStats stats = rig.server->dispatcher().stats();
+    EXPECT_EQ(stats.cellsCompletedRemote, 1u)
+        << "the failed cell must come from the worker, not a fallback";
+    EXPECT_EQ(stats.cellsLocal, 0u);
+}
+
 // --- Registration handshake hygiene -----------------------------------
 
 TEST(DispatchTest, WorkerServeRefusesNonSocketEndpoints)
 {
     AnalysisService service;
-    EXPECT_THROW(workerServe(Endpoint::parse("spool:/tmp/nope"),
-                             service),
-                 std::runtime_error);
     EXPECT_THROW(workerServe(Endpoint::parse("inproc:"), service),
+                 std::runtime_error);
+    // Only unix: and tcp: reach a server; any other scheme is refused
+    // before a worker could be pointed at it.
+    EXPECT_THROW(Endpoint::parse("dir:/tmp/nope", Endpoint::Role::kWorker),
                  std::runtime_error);
 }
 

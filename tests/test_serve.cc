@@ -158,9 +158,8 @@ TEST(ServeTest, JsonRequestsServeIdentically)
 {
     Rig rig("json");
     const AnalysisResponse want = rig.expected();
-    ServeClient client = ServeClient::overUnix(rig.unixPath);
-    client.setJsonRequests(true);
-    expectEqual(client.run(rig.req), want);
+    const auto client = makeTransport("unix:" + rig.unixPath + "?json=1");
+    expectEqual(client->run(rig.req), want);
 }
 
 TEST(ServeTest, MakeTransportReachesAServer)
@@ -176,7 +175,20 @@ TEST(ServeTest, MakeTransportReachesAServer)
     EXPECT_THROW(makeTransport("tcp:127.0.0.1"), std::runtime_error);
     EXPECT_THROW(makeTransport("tcp:127.0.0.1:notaport"),
                  std::runtime_error);
-    EXPECT_THROW(makeTransport("spool:"), std::runtime_error);
+    // Only the in-process and socket seams exist; anything else is an
+    // unknown transport, and the error lists exactly those three.
+    try {
+        makeTransport("dir:/x");
+        ADD_FAILURE() << "a non-socket directory URI must not parse";
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("unknown transport"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("(expected inproc:, unix:PATH or "
+                            "tcp:HOST:PORT)"),
+                  std::string::npos)
+            << what;
+    }
 }
 
 // --- Concurrency ------------------------------------------------------

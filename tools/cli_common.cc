@@ -53,21 +53,6 @@ parseCommonArgs(int argc, char **argv, int first, CommonArgs *args)
             args->out = v;
             continue;
         }
-        if (arg == "--spool") {
-            const char *v = value("--spool");
-            if (!v)
-                return false;
-            args->spool = v;
-            continue;
-        }
-        if (arg == "--no-wait") {
-            args->noWait = true;
-            continue;
-        }
-        if (arg == "--once") {
-            args->once = true;
-            continue;
-        }
         if (arg == "--stats-json") {
             args->statsJson = true;
             continue;
@@ -88,32 +73,18 @@ parseCommonArgs(int argc, char **argv, int first, CommonArgs *args)
             const char *v = value("--min-loose");
             if (!v)
                 return false;
-            args->minLoose = std::strtoull(v, nullptr, 10);
-            continue;
-        }
-        if (arg == "--unix") {
-            const char *v = value("--unix");
-            if (!v)
+            // Strict, like Endpoint::parse's numeric keys: a typo must
+            // fail, not fall back to the default threshold.
+            char *end = nullptr;
+            const unsigned long long n = std::strtoull(v, &end, 10);
+            if (*v == '\0' || *end != '\0') {
+                std::cerr << "bad value '" << v << "' for --min-loose\n";
                 return false;
-            args->legacyUnix = v;
-            continue;
-        }
-        if (arg == "--tcp") {
-            const char *v = value("--tcp");
-            if (!v)
-                return false;
-            args->legacyTcpPort = std::atoi(v);
-            continue;
-        }
-        if (arg == "--host") {
-            const char *v = value("--host");
-            if (!v)
-                return false;
-            args->legacyHost = v;
+            }
+            args->minLoose = n;
             continue;
         }
         if (arg == "--json") {
-            args->json = true;
             appendOption(args, "json", "1");
             continue;
         }
@@ -136,15 +107,11 @@ parseCommonArgs(int argc, char **argv, int first, CommonArgs *args)
             {"--max-frame-bytes", "max-frame-bytes"},
             {"--worker-inflight", "worker-inflight"},
             {"--max-jobs", "max-jobs"},
-            {"--claim-stale-ms", "claim-stale-ms"},
             {"--gc-bytes", "gc-bytes"},
             {"--gc-age", "gc-age"},
             {"--gc-interval", "gc-interval"},
             {"--sched", "sched"},
             {"--client", "client"},
-            // One-release aliases for the pre-unification spellings.
-            {"--max-inflight-cells", "max-inflight"},
-            {"--max-cells-per-request", "max-cells"},
         };
         bool matched = false;
         for (const auto &opt : kOptionFlags) {

@@ -1,16 +1,14 @@
 /**
  * @file
- * The flag vocabulary shared by gpuperf-worker and gpuperf-serve.
- * Before this, the two tools grew divergent spellings for the same
- * knobs (--max-inflight-cells vs nothing, --timeout only on the
- * worker); now every endpoint-tunable flag is ONE spelling in ONE
- * parser, and its value is literally an api::Endpoint query option
- * appended to each --via URI (`--timeout 30` == `?timeout=30`):
+ * The flag vocabulary shared by gpuperf-worker and gpuperf-serve:
+ * every endpoint-tunable flag is ONE spelling in ONE parser, and its
+ * value is literally an api::Endpoint query option appended to each
+ * --via URI (`--timeout 30` == `?timeout=30`):
  *
  *   --via URI           transport/listener endpoint (repeatable for
  *                       servers: one unix: plus one tcp: listener)
  *   --store DIR         store root         (endpoint option `store`)
- *   --timeout SEC       response/collect deadline       (`timeout`)
+ *   --timeout SEC       client response deadline        (`timeout`)
  *   --idle-timeout SEC  idle-connection close      (`idle-timeout`)
  *   --job-timeout SEC   worker-job re-dispatch      (`job-timeout`)
  *   --max-clients N     connection bound            (`max-clients`)
@@ -19,7 +17,6 @@
  *   --max-frame-bytes N frame payload bound     (`max-frame-bytes`)
  *   --worker-inflight N per-worker job bound    (`worker-inflight`)
  *   --max-jobs N        serve-at-most bound            (`max-jobs`)
- *   --claim-stale-ms MS spool crash-steal bound   (`claim-stale-ms`)
  *   --gc-bytes N        store GC live-byte budget        (`gc-bytes`)
  *   --gc-age SEC        store GC idle-age bound            (`gc-age`)
  *   --gc-interval SEC   server GC sweep period        (`gc-interval`)
@@ -28,13 +25,9 @@
  *   --client ID         client identity for fair-share   (`client`)
  *   --json              send JSON requests                 (`json`)
  *
- * plus the non-endpoint flags --out, --spool, --no-wait, --once,
- * --stats-json, the admin-verb flags --dry-run/--force/--min-loose/
- * --report-only (gpuperf-worker gc|verify|compact|stats), and
- * gpuperf-serve's legacy listener aliases
- * --unix/--tcp/--host (kept one release; --via supersedes them).
- * The old --max-inflight-cells/--max-cells-per-request spellings
- * remain as aliases for one release.
+ * plus the non-endpoint flags --out, --stats-json and the admin-verb
+ * flags --dry-run/--force/--min-loose/--report-only (gpuperf-worker
+ * gc|verify|compact|stats).
  */
 
 #ifndef GPUPERF_TOOLS_CLI_COMMON_H
@@ -51,29 +44,20 @@ namespace cli {
 
 struct CommonArgs
 {
-    /** First non-flag argument (a request file for run/submit). */
+    /** First non-flag argument (a request file for run). */
     std::string positional;
     /** --via URIs, in order (servers may listen on several). */
     std::vector<std::string> via;
     std::string out;
-    std::string spool;
     /** --store's raw value (also appended as a `store=` option). */
     std::string store;
-    bool noWait = false;
-    bool once = false;
     bool statsJson = false;
-    bool json = false;
 
     /** Admin verbs (gpuperf-worker gc|verify|compact). */
     bool dryRun = false;      ///< gc: report, touch nothing
     bool force = false;       ///< compact: ignore the size thresholds
     bool reportOnly = false;  ///< verify: scan without fixing
     uint64_t minLoose = 0;    ///< compact: fold threshold (0 = default)
-
-    /** Legacy gpuperf-serve listener spellings (one release). */
-    std::string legacyUnix;
-    int legacyTcpPort = -1;
-    std::string legacyHost = "127.0.0.1";
 
     /** Accumulated `k=v&k=v` endpoint options from option flags. */
     std::string query;

@@ -17,9 +17,7 @@
  *
  * Endpoints are api::Endpoint URIs; the option flags share their
  * spellings with URI query options and with gpuperf-worker (see
- * tools/cli_common.h). The pre-Endpoint spellings --unix PATH,
- * --tcp PORT, --host ADDR, --max-inflight-cells and
- * --max-cells-per-request remain as aliases for one release.
+ * tools/cli_common.h).
  *
  * At least one unix:/tcp: endpoint is required. `tcp:HOST:0` binds an
  * ephemeral port (printed on stdout — scripts parse the "listening"
@@ -68,9 +66,7 @@ usage()
            "                     [--job-timeout SEC] "
            "[--worker-inflight N] [--stats-json]\n"
            "at least one unix:/tcp: endpoint is required; "
-           "tcp:HOST:0 binds an ephemeral port\n"
-           "(legacy aliases --unix PATH / --tcp PORT / --host ADDR "
-           "remain for one release)\n";
+           "tcp:HOST:0 binds an ephemeral port\n";
     return 1;
 }
 
@@ -84,20 +80,12 @@ main(int argc, char **argv)
         !args.positional.empty())
         return usage();
 
-    // Fold the legacy listener spellings into --via URIs. --host must
-    // be folded before --tcp, which is why they are parsed first.
-    std::vector<std::string> uris = args.via;
-    if (!args.legacyUnix.empty())
-        uris.push_back("unix:" + args.legacyUnix);
-    if (args.legacyTcpPort >= 0)
-        uris.push_back("tcp:" + args.legacyHost + ":" +
-                       std::to_string(args.legacyTcpPort));
-    if (uris.empty())
+    if (args.via.empty())
         return usage();
 
     std::vector<api::Endpoint> endpoints;
     try {
-        for (const std::string &uri : uris)
+        for (const std::string &uri : args.via)
             endpoints.push_back(cli::endpointFor(
                 args, uri, api::Endpoint::Role::kServer));
     } catch (const std::exception &e) {
