@@ -25,6 +25,8 @@ Kernel::Kernel(std::string name, std::vector<Instruction> instrs,
     computeHash();
 }
 
+Kernel::Kernel() : Kernel("", {}, 1, 0, 0) {}
+
 void
 Kernel::computeHash()
 {

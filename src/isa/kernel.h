@@ -35,6 +35,9 @@ class Kernel
     Kernel(std::string name, std::vector<Instruction> instrs, int num_regs,
            int num_preds, int shared_bytes);
 
+    /** The empty kernel (a lone EXIT), for decoders to assign over. */
+    Kernel();
+
     const std::string &name() const { return name_; }
     const std::vector<Instruction> &instructions() const { return instrs_; }
     int numRegisters() const { return numRegs_; }

@@ -32,7 +32,7 @@ CalibrationStore::load(const arch::GpuSpec &spec) const
     }
     auto tables = std::make_shared<model::CalibrationTables>();
     ByteReader r(payload);
-    if (!readTables(r, tables.get()) || !r.atEnd()) {
+    if (!wire::decode(r, tables.get()) || !r.atEnd()) {
         counters_.miss();
         return nullptr;
     }
@@ -46,7 +46,7 @@ CalibrationStore::save(const arch::GpuSpec &spec,
 {
     const std::string key = spec.fingerprint();
     ByteWriter w;
-    writeTables(w, tables);
+    wire::encode(w, tables);
     return writeEntryFile(path(spec, key), kFormatVersion, key,
                           w.bytes(), &counters_);
 }
@@ -72,17 +72,7 @@ CalibrationStore::saveBenchResults(const arch::GpuSpec &spec,
 
     const std::string key = "bench|" + spec.fingerprint();
     ByteWriter w;
-    w.u64(merged.size());
-    for (const BenchEntry &e : merged) {
-        w.i32(std::get<0>(e.first));
-        w.i32(std::get<1>(e.first));
-        w.i32(std::get<2>(e.first));
-        w.f64(e.second.seconds);
-        w.u64(e.second.transactions);
-        w.u64(e.second.requestBytes);
-        w.f64(e.second.bandwidth);
-        w.f64(e.second.xactThroughput);
-    }
+    wire::encode(w, merged);
     return writeEntryFile(dir_ + "/" + fileStem(spec.name, key) +
                               ".bench",
                           kFormatVersion, key, w.bytes(), &counters_);
@@ -119,21 +109,7 @@ CalibrationStore::loadBenchResults(const arch::GpuSpec &spec) const
     }
     ByteReader r(payload);
     std::vector<BenchEntry> entries;
-    const uint64_t n = r.u64();
-    for (uint64_t i = 0; i < n && r.ok(); ++i) {
-        BenchEntry e;
-        const int blocks = r.i32();
-        const int threads = r.i32();
-        const int requests = r.i32();
-        e.first = std::make_tuple(blocks, threads, requests);
-        e.second.seconds = r.f64();
-        e.second.transactions = r.u64();
-        e.second.requestBytes = r.u64();
-        e.second.bandwidth = r.f64();
-        e.second.xactThroughput = r.f64();
-        entries.push_back(std::move(e));
-    }
-    if (!r.atEnd())
+    if (!wire::decode(r, &entries) || !r.atEnd())
         return {};
     return entries;
 }

@@ -33,7 +33,7 @@ ProfileStore::load(const funcsim::ProfileKey &key) const
     }
     auto profile = std::make_shared<funcsim::KernelProfile>();
     ByteReader r(payload);
-    if (!readProfile(r, profile.get()) || !r.atEnd() ||
+    if (!wire::decode(r, profile.get()) || !r.atEnd() ||
         profile->key != key) {
         counters_.miss();
         return nullptr;
@@ -75,7 +75,7 @@ ProfileStore::save(const funcsim::KernelProfile &profile) const
 {
     const std::string key_str = profile.key.str();
     ByteWriter w;
-    writeProfile(w, profile);
+    wire::encode(w, profile);
     return writeEntryFile(path(profile.key, key_str), kFormatVersion,
                           key_str, w.bytes(), &counters_);
 }

@@ -7,48 +7,6 @@
 namespace gpuperf {
 namespace store {
 
-void
-writeBatchResult(ByteWriter &w, const driver::BatchResult &r)
-{
-    w.str(r.kernelName);
-    w.str(r.specName);
-    writeAnalysis(w, r.analysis);
-    w.u64(r.whatifs.size());
-    for (const driver::RankedWhatIf &wi : r.whatifs) {
-        w.u8(static_cast<uint8_t>(wi.point.kind));
-        w.f64(wi.point.value);
-        writePrediction(w, wi.result.before);
-        writePrediction(w, wi.result.after);
-    }
-}
-
-bool
-readBatchResult(ByteReader &r, driver::BatchResult *result)
-{
-    result->kernelName = r.str();
-    result->specName = r.str();
-    if (!readAnalysis(r, &result->analysis))
-        return false;
-    const uint64_t n = r.u64();
-    for (uint64_t i = 0; i < n && r.ok(); ++i) {
-        driver::RankedWhatIf wi;
-        const uint8_t kind = r.u8();
-        if (kind > static_cast<uint8_t>(
-                       driver::SweepPoint::Kind::kCoalescingFraction)) {
-            r.fail();
-            return false;
-        }
-        wi.point.kind = static_cast<driver::SweepPoint::Kind>(kind);
-        wi.point.value = r.f64();
-        if (!readPrediction(r, &wi.result.before) ||
-            !readPrediction(r, &wi.result.after)) {
-            return false;
-        }
-        result->whatifs.push_back(std::move(wi));
-    }
-    return r.ok();
-}
-
 ResultStore::ResultStore(std::string dir) : dir_(std::move(dir))
 {
     makeDirs(dir_);
@@ -71,12 +29,12 @@ ResultStore::load(const std::string &key) const
     }
     auto result = std::make_unique<driver::BatchResult>();
     ByteReader r(payload);
-    if (!readBatchResult(r, result.get()) || !r.atEnd()) {
+    if (!wire::decode(r, result.get()) || !r.atEnd()) {
         counters_.miss();
         return nullptr;
     }
     // Only ok results are ever persisted; re-stamp that on the way
-    // out (the payload codec carries no ok/error framing).
+    // out (the payload carries no ok/error status).
     result->ok = true;
     result->error.clear();
     counters_.hit();
@@ -88,7 +46,7 @@ ResultStore::save(const std::string &key,
                   const driver::BatchResult &result) const
 {
     ByteWriter w;
-    writeBatchResult(w, result);
+    wire::encode(w, result);
     return writeEntryFile(path(key), kFormatVersion, key, w.bytes(),
                           &counters_);
 }

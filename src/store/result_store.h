@@ -20,22 +20,58 @@
 #include <string>
 
 #include "driver/batch_runner.h"
+#include "store/codecs.h"
 #include "store/serializer.h"
 #include "store/stats.h"
 
 namespace gpuperf {
-namespace store {
+namespace wire {
+
+// Driver-layer walks: store/codecs.h stays below the driver layer.
+
+inline constexpr const char *kWhatIfKindNames[] = {
+    "no-bank-conflicts", "warps-per-sm", "coalescing-fraction"};
+template <>
+struct EnumWire<driver::SweepPoint::Kind> : ByName<kWhatIfKindNames> {};
+
+template <class V>
+void
+fields(V &v, driver::RankedWhatIf &x)
+{
+    v("kind", x.point.kind);
+    v("value", x.point.value);
+    v("before", x.result.before);
+    v("after", x.result.after);
+}
 
 /**
- * The payload half of a finished batch cell — names, analysis and
- * ranked what-ifs. ok/error are NOT encoded: the result store only
- * persists successes (its load() re-stamps ok), while the api layer
- * wraps this with its own ok/error framing for failed cells.
- * Declared here rather than store/codecs.h so the generic codec
- * header stays below the driver layer.
+ * A finished cell. Its ok/error status leads a binary response cell,
+ * follows the names in JSON, and is absent from the result store,
+ * which keeps only successes (load() re-stamps ok).
  */
-void writeBatchResult(ByteWriter &w, const driver::BatchResult &r);
-bool readBatchResult(ByteReader &r, driver::BatchResult *result);
+template <class V>
+void
+fields(V &v, driver::BatchResult &x)
+{
+    const auto status = [&] {
+        v("ok", x.ok);
+        v("error", x.error);
+    };
+    if constexpr (V::kBinary) {
+        if (v.cellStatus)
+            status();
+    }
+    v("kernel", x.kernelName);
+    v("spec", x.specName);
+    if constexpr (!V::kBinary)
+        status();
+    v("analysis", x.analysis);
+    v("whatifs", x.whatifs);
+}
+
+} // namespace wire
+
+namespace store {
 
 /** Thread-safe; load/save may be called from any worker. */
 class ResultStore

@@ -49,6 +49,8 @@ class ByteWriter
     void str(const std::string &s);
 
     const std::string &bytes() const { return buf_; }
+    /** Writes cannot fail (the counterpart of ByteReader::ok()). */
+    bool ok() const { return true; }
 
   private:
     std::string buf_;
@@ -82,6 +84,8 @@ class ByteReader
     bool ok() const { return ok_; }
     /** True when the whole buffer was consumed (and ok()). */
     bool atEnd() const { return ok_ && pos_ == data_.size(); }
+    /** Bytes not yet read (0 once a read failed). */
+    size_t remaining() const { return ok_ ? data_.size() - pos_ : 0; }
 
     void fail() { ok_ = false; }
 

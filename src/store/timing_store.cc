@@ -34,7 +34,7 @@ TimingStore::load(const funcsim::ProfileKey &key,
     }
     auto result = std::make_shared<timing::TimingResult>();
     ByteReader r(payload);
-    if (!readTiming(r, result.get()) || !r.atEnd()) {
+    if (!wire::decode(r, result.get()) || !r.atEnd()) {
         counters_.miss();
         return nullptr;
     }
@@ -90,18 +90,14 @@ TimingStore::recordObservationMs(const funcsim::ProfileKey &key,
     if (readStoreEntry(dir_, name, kObservationFormatVersion, key_str,
                        &payload, &counters_)) {
         ByteReader r(payload);
-        const double storedEwma = r.f64();
-        const uint64_t storedCount = r.u64();
-        if (r.atEnd()) {
-            ewma = storedEwma;
-            count = storedCount;
-        }
+        std::pair<double, uint64_t> stored;
+        if (wire::decode(r, &stored) && r.atEnd())
+            std::tie(ewma, count) = stored;
     }
     ewma = sched::CostModel::ewmaMerge(ewma, count, ms);
     ++count;
     ByteWriter w;
-    w.f64(ewma);
-    w.u64(count);
+    wire::encode(w, std::make_pair(ewma, count));
     return writeEntryFile(dir_ + "/" + name, kObservationFormatVersion,
                           key_str, w.bytes(), &counters_);
 }
@@ -118,14 +114,13 @@ TimingStore::loadObservationMs(const funcsim::ProfileKey &key,
                         &counters_))
         return false;
     ByteReader r(payload);
-    const double ewma = r.f64();
-    const uint64_t n = r.u64();
-    if (!r.atEnd() || n == 0)
+    std::pair<double, uint64_t> stored; // (EWMA ms, sample count)
+    if (!wire::decode(r, &stored) || !r.atEnd() || stored.second == 0)
         return false;
     if (ms)
-        *ms = ewma;
+        *ms = stored.first;
     if (count)
-        *count = n;
+        *count = stored.second;
     return true;
 }
 
@@ -138,7 +133,7 @@ TimingStore::save(const funcsim::ProfileKey &key,
     const std::string path =
         dir_ + "/" + fileStem("timing", key_str) + ".timing";
     ByteWriter w;
-    writeTiming(w, result);
+    wire::encode(w, result);
     return writeEntryFile(path, kFormatVersion, key_str, w.bytes(),
                           &counters_);
 }

@@ -488,7 +488,7 @@ std::string
 resultPayload()
 {
     ByteWriter w;
-    store::writeBatchResult(w, goldenCell());
+    wire::encode(w, goldenCell());
     return w.bytes();
 }
 
@@ -506,7 +506,7 @@ decodeResultEntry(const std::string &blob, std::string *out)
     if (!result)
         return false;
     ByteWriter w;
-    store::writeBatchResult(w, *result);
+    wire::encode(w, *result);
     *out = store::encodeEntryBlob(store::ResultStore::kFormatVersion,
                                   kResultKey, w.bytes());
     if (blob.size() + store::kChecksumTrailerBytes == out->size())
@@ -525,17 +525,18 @@ allCodecs()
         "response.bin", goldenResponse(), api::writeResponse,
         api::readResponse));
     codecs.push_back(binaryCodec<funcsim::KernelProfile>(
-        "profile.bin", goldenProfile(), store::writeProfile,
-        store::readProfile));
+        "profile.bin", goldenProfile(), wire::encode<funcsim::KernelProfile>,
+        wire::decode<funcsim::KernelProfile>));
     codecs.push_back(binaryCodec<timing::TimingResult>(
         "timing.bin", goldenCell().analysis.measurement.timing,
-        store::writeTiming, store::readTiming));
+        wire::encode<timing::TimingResult>,
+        wire::decode<timing::TimingResult>));
     codecs.push_back(binaryCodec<model::CalibrationTables>(
-        "tables.bin", goldenTables(), store::writeTables,
-        store::readTables));
+        "tables.bin", goldenTables(), wire::encode<model::CalibrationTables>,
+        wire::decode<model::CalibrationTables>));
     codecs.push_back(binaryCodec<driver::BatchResult>(
-        "result.bin", goldenCell(), store::writeBatchResult,
-        store::readBatchResult));
+        "result.bin", goldenCell(), wire::encode<driver::BatchResult>,
+        wire::decode<driver::BatchResult>));
 
     Codec req_json;
     req_json.file = "request.json";
@@ -744,6 +745,147 @@ TEST(GoldenTest, EveryStrictPrefixFailsToDecode)
                                           &error))
             << "request_v1.json cut at " << cut;
     }
+}
+
+// --- Hardening -----------------------------------------------------------
+
+TEST(WireInputTest, OutOfRangeTransactionSizeIsRejected)
+{
+    // The [size, count] keys of globalXactBySize are i32: a size a
+    // double holds but an int does not must fail the read, not reach
+    // an undefined cast.
+    const std::string text = golden("response.json");
+    const std::string pair = "[\n                  32,";
+    const size_t at = text.find(pair);
+    ASSERT_NE(at, std::string::npos);
+    for (const char *size : {"1e300", "2147483648", "-2147483649"}) {
+        SCOPED_TRACE(size);
+        std::string forged = text;
+        forged.replace(at + pair.size() - 3, 2, size);
+        AnalysisResponse back;
+        std::string error;
+        EXPECT_FALSE(api::responseFromJson(forged, &back, &error));
+        EXPECT_NE(error.find("globalXactBySize"), std::string::npos)
+            << error;
+    }
+}
+
+TEST(WireInputTest, ForgedCountsFailBeforeAllocating)
+{
+    // An inline job claiming 2^24 instructions in a ~60-byte frame:
+    // the count alone exceeds what the bytes left could hold.
+    ByteWriter w;
+    w.u32(api::kSchemaVersion);
+    w.str("forged");
+    w.str("");
+    w.u64(1);        // one kernel job
+    w.str("job");
+    w.u8(1);         // inline
+    w.str("kernel");
+    w.i32(1);        // registers
+    w.i32(0);        // predicates
+    w.i32(0);        // shared bytes
+    w.u64(uint64_t{1} << 24);
+    ByteReader r(w.bytes());
+    AnalysisRequest req;
+    EXPECT_FALSE(api::readRequest(r, &req));
+    EXPECT_EQ(r.remaining(), 0u) << "a failed reader has nothing left";
+
+    // Likewise a response claiming 2^40 cells.
+    ByteWriter resp;
+    resp.u32(api::kSchemaVersion);
+    resp.str("forged");
+    resp.u32(1);
+    resp.u32(1);
+    resp.u64(uint64_t{1} << 40);
+    ByteReader rr(resp.bytes());
+    AnalysisResponse back;
+    EXPECT_FALSE(api::readResponse(rr, &back));
+    EXPECT_TRUE(back.cells.empty());
+}
+
+// --- Equality -------------------------------------------------------------
+
+TEST(ResponsesEqualTest, ComparesDoublesBitForBit)
+{
+    const AnalysisResponse a = goldenResponse();
+    std::string why;
+    ASSERT_TRUE(api::responsesEqual(a, goldenResponse(), &why)) << why;
+
+    // NaN equals NaN with the same bits; -0.0 and +0.0 differ.
+    ASSERT_TRUE(std::isnan(a.cells[0].analysis.input.stages[0]
+                               .effective64Xacts));
+    AnalysisResponse b = goldenResponse();
+    ASSERT_TRUE(std::signbit(
+        b.cells[0].analysis.prediction.stages[0].tShared));
+    b.cells[0].analysis.prediction.stages[0].tShared = +0.0;
+    EXPECT_FALSE(api::responsesEqual(a, b, &why));
+    EXPECT_EQ(why, "cell 0 (k0 x GTX 285): "
+                   "analysis.prediction.stages[0].tShared");
+
+    b = goldenResponse();
+    b.cells[0].whatifs[2].result.after.nextBottleneck =
+        model::Component::kInstruction;
+    EXPECT_FALSE(api::responsesEqual(a, b, &why));
+    EXPECT_EQ(why, "cell 0 (k0 x GTX 285): whatifs[2].after.nextBottleneck");
+
+    b = goldenResponse();
+    b.cells[1].error += "!";
+    EXPECT_FALSE(api::responsesEqual(a, b, &why));
+    EXPECT_EQ(why, "cell 1 (k1 x GTX 285): error");
+
+    b = goldenResponse();
+    b.cells[0].analysis.measurement.stats.stages[0].globalXactBySize[64] = 1;
+    EXPECT_FALSE(api::responsesEqual(a, b, &why));
+    EXPECT_EQ(why, "cell 0 (k0 x GTX 285): "
+                   "analysis.stats.stages[0].globalXactBySize[1].second");
+
+    b = goldenResponse();
+    b.cells.pop_back();
+    EXPECT_FALSE(api::responsesEqual(a, b, &why));
+    EXPECT_EQ(why, "cells");
+}
+
+// --- GpuSpec::fingerprint() coverage ---------------------------------------
+
+/** Changes the @p target-th field a walk names, and records its key. */
+struct PerturbOne
+{
+    int target;
+    int seen = 0;
+    const char *key = nullptr;
+
+    template <class T>
+    void operator()(const char *k, T &x, unsigned = wire::kPlain)
+    {
+        if (seen++ == target) {
+            key = k;
+            bump(x);
+        }
+    }
+    void bump(int &x) { x += 1; }
+    void bump(double &x) { x = x * 2 + 1; }
+    void bump(bool &x) { x = !x; }
+    void bump(std::string &x) { x += "'"; }
+};
+
+TEST(FingerprintTest, EveryWalkedGpuSpecFieldMovesTheFingerprint)
+{
+    // GpuSpec::fingerprint() keys stored calibrations and results and
+    // is written by hand: a field the walk carries but the fingerprint
+    // misses would alias cached work across different machines.
+    const std::string base = arch::GpuSpec::gtx285().fingerprint();
+    int fields_seen = 0;
+    for (int k = 0;; ++k) {
+        arch::GpuSpec spec = arch::GpuSpec::gtx285();
+        PerturbOne perturb{k};
+        wire::fields(perturb, spec);
+        if (!perturb.key)
+            break;
+        ++fields_seen;
+        EXPECT_NE(spec.fingerprint(), base) << perturb.key;
+    }
+    EXPECT_EQ(fields_seen, 37);
 }
 
 } // namespace
