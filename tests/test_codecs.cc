@@ -698,6 +698,23 @@ TEST(GoldenTest, SchemaV1ShapedRequestWithoutClientIsAccepted)
     EXPECT_TRUE(a.bytes() == b.bytes());
 }
 
+TEST(GoldenTest, HandWrittenU64NumbersAreAccepted)
+{
+    // Writers emit u64 values as decimal strings; hand-written JSON
+    // may use plain numbers.
+    std::string text = golden("request.json");
+    const std::string quoted = "\"capacity\": \"4096\"";
+    const size_t at = text.find(quoted);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, quoted.size(), "\"capacity\": 4096");
+    AnalysisRequest back;
+    std::string error;
+    ASSERT_TRUE(api::requestFromJson(text, &back, &error)) << error;
+    ByteWriter w;
+    api::writeRequest(w, back);
+    EXPECT_TRUE(matchesGolden("request.bin", w.bytes()));
+}
+
 TEST(GoldenTest, StoreKeysAndCostKeysDoNotMove)
 {
     // tablesDigest keys every persisted result; cellCostKey keys the
