@@ -329,10 +329,11 @@ fi
 #    AnalysisService API;
 #  - the >=2x event-driven vs legacy-scan timing-replay speedup on
 #    the high-occupancy cases;
-#  - the >=2x vectorized vs scalar-reference funcsim speedup on the
-#    large high-occupancy cases (warp-instrs/sec, bit-identity
-#    checked first; report-only in Debug builds or with
-#    GPUPERF_FUNCSIM_GATE=report).
+#  - the >=2x funcsim speedup of the library core over the
+#    lane-at-a-time oracle (tests/reference_funcsim.h) on the large
+#    high-occupancy cases: the median of 9 interleaved per-pair
+#    warp-instrs/sec ratios, bit-identity checked first; report-only
+#    in Debug builds or with GPUPERF_FUNCSIM_GATE=report.
 # The main calibration is cached in the build dir, so reruns are
 # cheap; the streaming study calibrates two small specs cold on
 # purpose (that overlap is what it measures).

@@ -1,9 +1,7 @@
 #include "funcsim/interpreter.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
-#include <limits>
 
 #include "common/logging.h"
 #include "funcsim/exec_warp.h"
@@ -18,55 +16,7 @@ using isa::Kernel;
 using isa::Opcode;
 using isa::UnitKind;
 
-float
-asFloat(uint32_t v)
-{
-    float f;
-    std::memcpy(&f, &v, 4);
-    return f;
-}
-
-uint32_t
-asBits(float f)
-{
-    uint32_t v;
-    std::memcpy(&v, &f, 4);
-    return v;
-}
-
-bool
-compareI(isa::CmpOp cmp, int32_t a, int32_t b)
-{
-    switch (cmp) {
-      case isa::CmpOp::kLt: return a < b;
-      case isa::CmpOp::kLe: return a <= b;
-      case isa::CmpOp::kGt: return a > b;
-      case isa::CmpOp::kGe: return a >= b;
-      case isa::CmpOp::kEq: return a == b;
-      case isa::CmpOp::kNe: return a != b;
-    }
-    panic("bad cmp op");
-}
-
-bool
-compareF(isa::CmpOp cmp, float a, float b)
-{
-    switch (cmp) {
-      case isa::CmpOp::kLt: return a < b;
-      case isa::CmpOp::kLe: return a <= b;
-      case isa::CmpOp::kGt: return a > b;
-      case isa::CmpOp::kGe: return a >= b;
-      case isa::CmpOp::kEq: return a == b;
-      case isa::CmpOp::kNe: return a != b;
-    }
-    panic("bad cmp op");
-}
-
-/**
- * The mask-independent TraceOp of an arithmetic/control instruction.
- * Shared by the scalar-reference per-op path and the vectorized core's
- * static-template table, so the two can never diverge.
- */
+/** The mask-independent TraceOp of an arithmetic/control instruction. */
 TraceOp
 makeArithTraceOp(const Instruction &inst)
 {
@@ -130,19 +80,18 @@ struct WarpState
 
 /**
  * Per-static-instruction facts, precomputed once per kernel: the
- * dispatch cost/classification countArith re-derives per dynamic op in
- * the scalar path, and the mask-independent fields of the TraceOp the
- * instruction emits (only conflict/sharedPasses/numXacts/xactBytes/
- * texIdx depend on the dynamic mask and addresses). The vectorized
- * core appends traces by copying the template and patching those
- * dynamic fields.
+ * dispatch cost and classification of arithmetic/control ops, and the
+ * mask-independent fields of the TraceOp the instruction emits (only
+ * conflict/sharedPasses/numXacts/xactBytes/texIdx depend on the
+ * dynamic mask and addresses). Trace appends copy the template and
+ * patch those dynamic fields.
  */
 struct StaticOp
 {
     uint8_t cost = 0;      ///< isa::dynamicCost(op)
     uint8_t typeIdx = 0;   ///< isa::instrTypeOf(op) when cost > 0
     bool isMad = false;    ///< op == kFmad
-    bool traced = false;   ///< on the countArith/recordArithTrace path
+    bool traced = false;   ///< noteArith appends tmpl
     TraceOp tmpl;          ///< template TraceOp (memory/arith/control)
 };
 
@@ -154,11 +103,10 @@ class BlockExecutor
                   const LaunchConfig &cfg, GlobalMemory &gmem,
                   const memxact::CoalescingSimulator &coalescer,
                   const memxact::BankConflictAnalyzer &banks,
-                  const RunOptions &options, ExecMode mode)
+                  const RunOptions &options)
         : spec_(spec), kernel_(kernel), cfg_(cfg), gmem_(gmem),
           coalescer_(coalescer), banks_(banks), options_(options),
-          shared_(kernel.sharedBytes()),
-          vec_(mode == ExecMode::kVectorized)
+          shared_(kernel.sharedBytes())
     {
         GPUPERF_ASSERT(spec_.warpSize <= kMaxWarpLanes,
                        "mask representation limits warps to "
@@ -196,39 +144,23 @@ class BlockExecutor
     void runWarpToBarrier(WarpState &w);
     void execute(WarpState &w, const Instruction &inst);
 
-    // --- Scalar-reference core (the original per-lane interpreter,
-    // --- retained as the bit-identity oracle; see ExecMode).
-    void countArith(WarpState &w, Opcode op);
-    void recordArithTrace(WarpState &w, const Instruction &inst);
+    // Whole-warp SoA kernels (exec_warp.cc) plus popcount/template
+    // stats and trace accounting.
     void executeAlu(WarpState &w, const Instruction &inst);
     void executeSharedAccess(WarpState &w, const Instruction &inst);
     void executeGlobalAccess(WarpState &w, const Instruction &inst);
     void executeFmadShared(WarpState &w, const Instruction &inst);
     void executeSetp(WarpState &w, const Instruction &inst);
-    uint32_t guardMask(WarpState &w, const Instruction &inst);
-    uint32_t srcValue(WarpState &w, const Instruction &inst, int lane);
 
-    // --- Vectorized core: whole-warp SoA kernels (exec_warp.cc) plus
-    // --- popcount/template stats and trace accounting.
-    void executeAluVec(WarpState &w, const Instruction &inst);
-    void executeSharedAccessVec(WarpState &w, const Instruction &inst);
-    void executeGlobalAccessVec(WarpState &w, const Instruction &inst);
-    void executeFmadSharedVec(WarpState &w, const Instruction &inst);
-    void executeSetpVec(WarpState &w, const Instruction &inst);
+    /** Count an arithmetic/control op and append its trace template. */
+    void noteArith(WarpState &w);
 
-    /** countArith + recordArithTrace, by mode. */
-    void noteArith(WarpState &w, const Instruction &inst);
-    /** IF/BRK guard mask, by mode. */
-    uint32_t evalGuard(WarpState &w, const Instruction &inst);
-
-    uint32_t &regAt(WarpState &w, isa::Reg r, int lane)
+    /** IF/BRK guard: active lanes whose predicate (xor negate) holds. */
+    uint32_t evalGuard(WarpState &w, const Instruction &inst)
     {
-        return w.regs[static_cast<size_t>(r) * spec_.warpSize + lane];
-    }
-
-    uint8_t &predAt(WarpState &w, isa::Pred p, int lane)
-    {
-        return w.preds[static_cast<size_t>(p) * spec_.warpSize + lane];
+        return warpexec::guardMask(predRow(w, inst.pred),
+                                   inst.predNegate, w.mask,
+                                   spec_.warpSize);
     }
 
     /** SoA row of register @p r: lanes are contiguous. */
@@ -286,7 +218,6 @@ class BlockExecutor
     const RunOptions &options_;
 
     SharedMemory shared_;
-    const bool vec_;
     int blockId_ = 0;
     int stageIdx_ = 0;
     std::vector<StageStats> *stages_ = nullptr;
@@ -297,15 +228,14 @@ class BlockExecutor
 
     // Static trace-emission counts (for first-block reservation) and
     // the observed per-warp trace sizes of earlier blocks (for the
-    // rest). Content-independent bookkeeping: both modes reserve the
-    // same way, the stored sizes are equal by the bit-identity gate.
+    // rest). Content-independent bookkeeping: it changes no result.
     size_t staticTraceOps_ = 0;
     size_t staticTexOps_ = 0;
     size_t lastTraceOps_ = 0;
     size_t lastTexLines_ = 0;
 
-    // Whole-warp scratch rows for the vectorized core. Zero-initialized
-    // so lanes masked off since block start still hold defined values.
+    // Whole-warp scratch rows. Zero-initialized so lanes masked off
+    // since block start still hold defined values.
     alignas(64) uint32_t immBuf_[kMaxWarpLanes] = {};
     alignas(64) uint32_t zeroBuf_[kMaxWarpLanes] = {};
     alignas(64) uint32_t outBuf_[kMaxWarpLanes] = {};
@@ -378,61 +308,9 @@ BlockExecutor::buildStaticOps()
     }
 }
 
-uint32_t
-BlockExecutor::guardMask(WarpState &w, const Instruction &inst)
-{
-    uint32_t m = 0;
-    for (int lane = 0; lane < spec_.warpSize; ++lane) {
-        if (!((w.mask >> lane) & 1u))
-            continue;
-        bool v = predAt(w, inst.pred, lane) != 0;
-        if (inst.predNegate)
-            v = !v;
-        if (v)
-            m |= 1u << lane;
-    }
-    return m;
-}
-
-uint32_t
-BlockExecutor::srcValue(WarpState &w, const Instruction &inst, int lane)
-{
-    // Second operand: register or immediate.
-    if (inst.useImm)
-        return static_cast<uint32_t>(inst.imm);
-    return regAt(w, inst.src[1], lane);
-}
-
 void
-BlockExecutor::countArith(WarpState &w, Opcode op)
+BlockExecutor::noteArith(WarpState &w)
 {
-    const int cost = isa::dynamicCost(op);
-    if (cost == 0)
-        return;
-    StageStats &s = stage();
-    s.typeCounts[static_cast<int>(isa::instrTypeOf(op))] += cost;
-    s.totalWarpInstrs += cost;
-    if (op == Opcode::kFmad)
-        s.madCount += cost;
-    w.stageBodyOps += cost;
-}
-
-void
-BlockExecutor::recordArithTrace(WarpState &w, const Instruction &inst)
-{
-    if (isa::dynamicCost(inst.op) == 0)
-        return;
-    w.trace.ops.push_back(makeArithTraceOp(inst));
-}
-
-void
-BlockExecutor::noteArith(WarpState &w, const Instruction &inst)
-{
-    if (!vec_) {
-        countArith(w, inst.op);
-        recordArithTrace(w, inst);
-        return;
-    }
     const StaticOp &sop = sops_[w.pc];
     if (sop.cost == 0)
         return;
@@ -446,157 +324,8 @@ BlockExecutor::noteArith(WarpState &w, const Instruction &inst)
         w.trace.ops.push_back(sop.tmpl);
 }
 
-uint32_t
-BlockExecutor::evalGuard(WarpState &w, const Instruction &inst)
-{
-    if (vec_) {
-        return warpexec::guardMask(predRow(w, inst.pred),
-                                   inst.predNegate, w.mask,
-                                   spec_.warpSize);
-    }
-    return guardMask(w, inst);
-}
-
 void
 BlockExecutor::executeAlu(WarpState &w, const Instruction &inst)
-{
-    const int tid_base = w.warpId * spec_.warpSize;
-    for (int lane = 0; lane < spec_.warpSize; ++lane) {
-        if (!((w.mask >> lane) & 1u))
-            continue;
-        const uint32_t a =
-            inst.src[0] != isa::kNoReg ? regAt(w, inst.src[0], lane) : 0;
-        const uint32_t b = inst.src[1] != isa::kNoReg || inst.useImm
-                               ? srcValue(w, inst, lane)
-                               : 0;
-        const uint32_t c =
-            inst.src[2] != isa::kNoReg ? regAt(w, inst.src[2], lane) : 0;
-        uint32_t out = 0;
-        switch (inst.op) {
-          case Opcode::kFadd:
-            out = asBits(asFloat(a) + asFloat(b));
-            break;
-          case Opcode::kFmul:
-          case Opcode::kFmul2:
-            out = asBits(asFloat(a) * asFloat(b));
-            break;
-          case Opcode::kFmad:
-            out = asBits(asFloat(a) * asFloat(b) + asFloat(c));
-            break;
-          case Opcode::kIadd:
-            out = a + b;
-            break;
-          case Opcode::kIsub:
-            out = a - b;
-            break;
-          case Opcode::kImul:
-            out = a * b;
-            break;
-          case Opcode::kImad:
-            out = a * b + c;
-            break;
-          case Opcode::kShl:
-            out = a << (b & 31);
-            break;
-          case Opcode::kShr:
-            out = a >> (b & 31);
-            break;
-          case Opcode::kAnd:
-            out = a & b;
-            break;
-          case Opcode::kOr:
-            out = a | b;
-            break;
-          case Opcode::kXor:
-            out = a ^ b;
-            break;
-          case Opcode::kImin:
-            out = static_cast<uint32_t>(
-                std::min(static_cast<int32_t>(a), static_cast<int32_t>(b)));
-            break;
-          case Opcode::kImax:
-            out = static_cast<uint32_t>(
-                std::max(static_cast<int32_t>(a), static_cast<int32_t>(b)));
-            break;
-          case Opcode::kMov:
-            out = a;
-            break;
-          case Opcode::kMovImm:
-            out = static_cast<uint32_t>(inst.imm);
-            break;
-          case Opcode::kS2r:
-            switch (inst.sreg) {
-              case isa::SpecialReg::kTid:
-                out = static_cast<uint32_t>(tid_base + lane);
-                break;
-              case isa::SpecialReg::kNtid:
-                out = static_cast<uint32_t>(cfg_.blockDim);
-                break;
-              case isa::SpecialReg::kCtaid:
-                out = static_cast<uint32_t>(blockId_);
-                break;
-              case isa::SpecialReg::kNctaid:
-                out = static_cast<uint32_t>(cfg_.gridDim);
-                break;
-              case isa::SpecialReg::kLaneId:
-                out = static_cast<uint32_t>(lane);
-                break;
-              case isa::SpecialReg::kWarpId:
-                out = static_cast<uint32_t>(w.warpId);
-                break;
-            }
-            break;
-          case Opcode::kSel:
-            out = predAt(w, inst.pred, lane) ? a : b;
-            break;
-          case Opcode::kF2i:
-            out = static_cast<uint32_t>(
-                static_cast<int32_t>(asFloat(a)));
-            break;
-          case Opcode::kI2f:
-            out = asBits(static_cast<float>(static_cast<int32_t>(a)));
-            break;
-          case Opcode::kRcp:
-            out = asBits(1.0f / asFloat(a));
-            break;
-          case Opcode::kSin:
-            out = asBits(std::sin(asFloat(a)));
-            break;
-          case Opcode::kCos:
-            out = asBits(std::cos(asFloat(a)));
-            break;
-          case Opcode::kLg2:
-            out = asBits(std::log2(asFloat(a)));
-            break;
-          case Opcode::kEx2:
-            out = asBits(std::exp2(asFloat(a)));
-            break;
-          case Opcode::kRsqrt:
-            out = asBits(1.0f / std::sqrt(asFloat(a)));
-            break;
-          // Double precision operates on float values held in 32-bit
-          // registers: the type IV classification (1 unit/SM) is what
-          // matters for modeling; these opcodes appear only in
-          // microbenchmarks.
-          case Opcode::kDadd:
-            out = asBits(asFloat(a) + asFloat(b));
-            break;
-          case Opcode::kDmul:
-            out = asBits(asFloat(a) * asFloat(b));
-            break;
-          case Opcode::kDfma:
-            out = asBits(asFloat(a) * asFloat(b) + asFloat(c));
-            break;
-          default:
-            panic("executeAlu: unexpected opcode %s",
-                  isa::opcodeName(inst.op));
-        }
-        regAt(w, inst.dst, lane) = out;
-    }
-}
-
-void
-BlockExecutor::executeAluVec(WarpState &w, const Instruction &inst)
 {
     // Every lane computes (a trap-free operation on whatever bits the
     // inactive lanes hold); only lanes in w.mask commit. Computing
@@ -625,25 +354,6 @@ BlockExecutor::executeAluVec(WarpState &w, const Instruction &inst)
 void
 BlockExecutor::executeSetp(WarpState &w, const Instruction &inst)
 {
-    for (int lane = 0; lane < spec_.warpSize; ++lane) {
-        if (!((w.mask >> lane) & 1u))
-            continue;
-        const uint32_t a = regAt(w, inst.src[0], lane);
-        const uint32_t b = srcValue(w, inst, lane);
-        bool r;
-        if (inst.op == Opcode::kSetpI) {
-            r = compareI(inst.cmp, static_cast<int32_t>(a),
-                         static_cast<int32_t>(b));
-        } else {
-            r = compareF(inst.cmp, asFloat(a), asFloat(b));
-        }
-        predAt(w, inst.pred, lane) = r ? 1 : 0;
-    }
-}
-
-void
-BlockExecutor::executeSetpVec(WarpState &w, const Instruction &inst)
-{
     const uint32_t *a = regRow(w, inst.src[0]);
     const uint32_t *b = srcBRow(w, inst);
     warpexec::runSetp(inst, a, b, predBuf_, spec_.warpSize);
@@ -659,69 +369,6 @@ BlockExecutor::executeSetpVec(WarpState &w, const Instruction &inst)
 
 void
 BlockExecutor::executeSharedAccess(WarpState &w, const Instruction &inst)
-{
-    // Compute per-lane byte addresses.
-    for (int lane = 0; lane < spec_.warpSize; ++lane) {
-        if (!((w.mask >> lane) & 1u))
-            continue;
-        addrBuf_[lane] =
-            static_cast<uint64_t>(regAt(w, inst.src[0], lane)) + inst.imm;
-    }
-
-    // Data movement.
-    int active = 0;
-    for (int lane = 0; lane < spec_.warpSize; ++lane) {
-        if (!((w.mask >> lane) & 1u))
-            continue;
-        ++active;
-        if (inst.op == Opcode::kLds) {
-            regAt(w, inst.dst, lane) = shared_.load32(addrBuf_[lane]);
-        } else {
-            shared_.store32(addrBuf_[lane], regAt(w, inst.src[1], lane));
-        }
-    }
-
-    // Statistics: serialized passes from bank conflicts.
-    const int passes =
-        banks_.warpTransactions(addrBuf_, w.mask, spec_.warpSize);
-    int ideal_groups = 0;
-    for (int start = 0; start < spec_.warpSize;
-         start += spec_.sharedIssueGroup) {
-        uint32_t group_mask = 0;
-        for (int lane = start;
-             lane < std::min(start + spec_.sharedIssueGroup,
-                             spec_.warpSize);
-             ++lane) {
-            group_mask |= (w.mask >> lane) & 1u;
-        }
-        if (group_mask)
-            ++ideal_groups;
-    }
-
-    StageStats &s = stage();
-    s.totalWarpInstrs += 1;
-    s.sharedInstrs += 1;
-    s.sharedTransactions += passes;
-    s.sharedTransactionsIdeal += ideal_groups;
-    s.sharedBytes += static_cast<uint64_t>(active) * 4;
-    w.stageBodyOps += 1;
-
-    TraceOp op;
-    op.unit = UnitKind::kSharedMem;
-    op.conflict = static_cast<uint8_t>(std::min(passes, 255));
-    if (inst.op == Opcode::kLds) {
-        op.dst = inst.dst + 1;
-        op.src[0] = inst.src[0] + 1;
-    } else {
-        op.src[0] = inst.src[0] + 1;
-        op.src[1] = inst.src[1] + 1;
-    }
-    w.trace.ops.push_back(op);
-}
-
-void
-BlockExecutor::executeSharedAccessVec(WarpState &w,
-                                      const Instruction &inst)
 {
     const int n = spec_.warpSize;
     // Addresses for all lanes (pure arithmetic; inactive lanes' values
@@ -766,103 +413,6 @@ BlockExecutor::executeSharedAccessVec(WarpState &w,
 void
 BlockExecutor::executeGlobalAccess(WarpState &w, const Instruction &inst)
 {
-    for (int lane = 0; lane < spec_.warpSize; ++lane) {
-        if (!((w.mask >> lane) & 1u))
-            continue;
-        addrBuf_[lane] =
-            static_cast<uint64_t>(regAt(w, inst.src[0], lane)) + inst.imm;
-    }
-
-    int active = 0;
-    for (int lane = 0; lane < spec_.warpSize; ++lane) {
-        if (!((w.mask >> lane) & 1u))
-            continue;
-        ++active;
-        if (inst.op == Opcode::kStg) {
-            gmem_.store32(addrBuf_[lane], regAt(w, inst.src[1], lane));
-        } else {
-            regAt(w, inst.dst, lane) = gmem_.load32(addrBuf_[lane]);
-        }
-    }
-
-    const auto xacts = coalescer_.coalesceWarp(addrBuf_, w.mask,
-                                               spec_.warpSize, 4);
-    StageStats &s = stage();
-    s.totalWarpInstrs += 1;
-    s.globalInstrs += 1;
-    s.globalTransactions += xacts.size();
-    for (const auto &x : xacts) {
-        s.globalBytes += x.bytes;
-        s.globalXactBySize[x.bytes] += 1;
-    }
-    s.globalRequestBytes += static_cast<uint64_t>(active) * 4;
-    w.stageBodyOps += 1;
-
-    TraceOp op;
-    switch (inst.op) {
-      case Opcode::kLdg:
-        op.unit = UnitKind::kGlobalLoad;
-        op.dst = inst.dst + 1;
-        break;
-      case Opcode::kStg:
-        op.unit = UnitKind::kGlobalStore;
-        op.src[1] = inst.src[1] + 1;
-        break;
-      case Opcode::kLdt:
-        op.unit = UnitKind::kTexLoad;
-        op.dst = inst.dst + 1;
-        break;
-      default:
-        panic("unexpected global opcode");
-    }
-    op.src[0] = inst.src[0] + 1;
-    op.numXacts = static_cast<uint16_t>(xacts.size());
-    op.xactBytes = static_cast<uint32_t>(
-        memxact::CoalescingSimulator::totalBytes(xacts));
-
-    if (inst.op == Opcode::kLdt) {
-        // Record the distinct cache lines touched, per issue group, for
-        // the timing simulator's texture cache.
-        op.texIdx = static_cast<uint32_t>(w.trace.texLines.size());
-        const int line = spec_.textureCacheLineBytes;
-        int lines = 0;
-        for (int start = 0; start < spec_.warpSize;
-             start += spec_.coalesceGroup) {
-            uint32_t prev_count = lines;
-            (void)prev_count;
-            // Collect unique lines within the group, preserving order.
-            for (int lane = start;
-                 lane < std::min(start + spec_.coalesceGroup,
-                                 spec_.warpSize);
-                 ++lane) {
-                if (!((w.mask >> lane) & 1u))
-                    continue;
-                const uint32_t line_id =
-                    static_cast<uint32_t>(addrBuf_[lane] / line);
-                bool seen = false;
-                for (size_t k = op.texIdx; k < w.trace.texLines.size();
-                     ++k) {
-                    if (w.trace.texLines[k] == line_id) {
-                        seen = true;
-                        break;
-                    }
-                }
-                if (!seen) {
-                    w.trace.texLines.push_back(line_id);
-                    ++lines;
-                }
-            }
-        }
-        op.numXacts = static_cast<uint16_t>(lines);
-        op.xactBytes = static_cast<uint32_t>(lines) * line;
-    }
-    w.trace.ops.push_back(op);
-}
-
-void
-BlockExecutor::executeGlobalAccessVec(WarpState &w,
-                                      const Instruction &inst)
-{
     const int n = spec_.warpSize;
     warpexec::runAddress(regRow(w, inst.src[0]), inst.imm, addrBuf_, n);
 
@@ -901,8 +451,9 @@ BlockExecutor::executeGlobalAccessVec(WarpState &w,
     op.xactBytes = static_cast<uint32_t>(xact_bytes);
 
     if (inst.op == Opcode::kLdt) {
-        // Distinct cache lines per issue group, exactly as the scalar
-        // reference records them (order-preserving dedup).
+        // Record the distinct cache lines touched, per issue group
+        // (order-preserving dedup), for the timing simulator's texture
+        // cache.
         op.texIdx = static_cast<uint32_t>(w.trace.texLines.size());
         const int line = spec_.textureCacheLineBytes;
         int lines = 0;
@@ -938,61 +489,6 @@ BlockExecutor::executeGlobalAccessVec(WarpState &w,
 
 void
 BlockExecutor::executeFmadShared(WarpState &w, const Instruction &inst)
-{
-    int active = 0;
-    for (int lane = 0; lane < spec_.warpSize; ++lane) {
-        if (!((w.mask >> lane) & 1u))
-            continue;
-        addrBuf_[lane] =
-            static_cast<uint64_t>(regAt(w, inst.src[1], lane)) + inst.imm;
-        ++active;
-    }
-    for (int lane = 0; lane < spec_.warpSize; ++lane) {
-        if (!((w.mask >> lane) & 1u))
-            continue;
-        const float a = asFloat(regAt(w, inst.src[0], lane));
-        const float b = asFloat(shared_.load32(addrBuf_[lane]));
-        const float c = asFloat(regAt(w, inst.src[2], lane));
-        regAt(w, inst.dst, lane) = asBits(a * b + c);
-    }
-
-    const int passes =
-        banks_.warpTransactions(addrBuf_, w.mask, spec_.warpSize);
-    int ideal_groups = 0;
-    for (int start = 0; start < spec_.warpSize;
-         start += spec_.sharedIssueGroup) {
-        uint32_t any = 0;
-        for (int lane = start;
-             lane < std::min(start + spec_.sharedIssueGroup,
-                             spec_.warpSize);
-             ++lane) {
-            any |= (w.mask >> lane) & 1u;
-        }
-        if (any)
-            ++ideal_groups;
-    }
-
-    StageStats &s = stage();
-    s.typeCounts[static_cast<int>(arch::InstrType::TypeII)] += 1;
-    s.madCount += 1;
-    s.totalWarpInstrs += 1;
-    s.sharedTransactions += passes;
-    s.sharedTransactionsIdeal += ideal_groups;
-    s.sharedBytes += static_cast<uint64_t>(active) * 4;
-    w.stageBodyOps += 1;
-
-    TraceOp op;
-    op.unit = UnitKind::kArithII;
-    op.sharedPasses = static_cast<uint8_t>(std::min(passes, 255));
-    op.dst = inst.dst + 1;
-    op.src[0] = inst.src[0] + 1;
-    op.src[1] = inst.src[1] + 1;
-    op.src[2] = inst.src[2] + 1;
-    w.trace.ops.push_back(op);
-}
-
-void
-BlockExecutor::executeFmadSharedVec(WarpState &w, const Instruction &inst)
 {
     const int n = spec_.warpSize;
     warpexec::runAddress(regRow(w, inst.src[1]), inst.imm, addrBuf_, n);
@@ -1038,14 +534,11 @@ BlockExecutor::execute(WarpState &w, const Instruction &inst)
 {
     switch (inst.op) {
       case Opcode::kFmadS:
-        if (vec_)
-            executeFmadSharedVec(w, inst);
-        else
-            executeFmadShared(w, inst);
+        executeFmadShared(w, inst);
         ++w.pc;
         break;
       case Opcode::kIf: {
-        noteArith(w, inst);
+        noteArith(w);
         const uint32_t taken = evalGuard(w, inst);
         Frame frame;
         frame.kind = Frame::kIf;
@@ -1065,7 +558,7 @@ BlockExecutor::execute(WarpState &w, const Instruction &inst)
         break;
       }
       case Opcode::kElse: {
-        noteArith(w, inst);
+        noteArith(w);
         GPUPERF_ASSERT(!w.frames.empty() &&
                            w.frames.back().kind == Frame::kIf,
                        "ELSE without IF frame");
@@ -1098,7 +591,7 @@ BlockExecutor::execute(WarpState &w, const Instruction &inst)
         break;
       }
       case Opcode::kBrk: {
-        noteArith(w, inst);
+        noteArith(w);
         GPUPERF_ASSERT(!w.frames.empty() &&
                            w.frames.back().kind == Frame::kLoop,
                        "BRK without LOOP frame");
@@ -1114,7 +607,7 @@ BlockExecutor::execute(WarpState &w, const Instruction &inst)
         break;
       }
       case Opcode::kEndloop: {
-        noteArith(w, inst);
+        noteArith(w);
         GPUPERF_ASSERT(!w.frames.empty() &&
                            w.frames.back().kind == Frame::kLoop,
                        "ENDLOOP without LOOP frame");
@@ -1128,7 +621,7 @@ BlockExecutor::execute(WarpState &w, const Instruction &inst)
             fatal("kernel '%s': barrier inside divergent control flow "
                   "(warp %d, pc %d)", kernel_.name().c_str(), w.warpId,
                   w.pc);
-        noteArith(w, inst);
+        noteArith(w);
         w.atBarrier = true;
         ++w.pc;
         break;
@@ -1142,37 +635,24 @@ BlockExecutor::execute(WarpState &w, const Instruction &inst)
       }
       case Opcode::kLds:
       case Opcode::kSts:
-        if (vec_)
-            executeSharedAccessVec(w, inst);
-        else
-            executeSharedAccess(w, inst);
+        executeSharedAccess(w, inst);
         ++w.pc;
         break;
       case Opcode::kLdg:
       case Opcode::kStg:
       case Opcode::kLdt:
-        if (vec_)
-            executeGlobalAccessVec(w, inst);
-        else
-            executeGlobalAccess(w, inst);
+        executeGlobalAccess(w, inst);
         ++w.pc;
         break;
       case Opcode::kSetpF:
-      case Opcode::kSetpI: {
-        noteArith(w, inst);
-        if (vec_)
-            executeSetpVec(w, inst);
-        else
-            executeSetp(w, inst);
+      case Opcode::kSetpI:
+        noteArith(w);
+        executeSetp(w, inst);
         ++w.pc;
         break;
-      }
       default:
-        noteArith(w, inst);
-        if (vec_)
-            executeAluVec(w, inst);
-        else
-            executeAlu(w, inst);
+        noteArith(w);
+        executeAlu(w, inst);
         ++w.pc;
         break;
     }
@@ -1291,9 +771,8 @@ BlockExecutor::run(int block_id, std::vector<StageStats> &stages,
 
 } // namespace
 
-FunctionalSimulator::FunctionalSimulator(const arch::GpuSpec &spec,
-                                         ExecMode mode)
-    : spec_(spec), mode_(mode), coalescer_(spec), banks_(spec)
+FunctionalSimulator::FunctionalSimulator(const arch::GpuSpec &spec)
+    : spec_(spec), coalescer_(spec), banks_(spec)
 {
     spec_.validate();
 }
@@ -1337,7 +816,7 @@ FunctionalSimulator::run(const isa::Kernel &kernel, const LaunchConfig &cfg,
     }
 
     BlockExecutor executor(spec_, kernel, cfg, gmem, coalescer_, banks_,
-                           options, mode_);
+                           options);
 
     std::vector<std::vector<int>> sampled_block_traces(sample);
     std::vector<double> active_sums;   // per stage, summed over blocks

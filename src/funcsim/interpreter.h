@@ -38,25 +38,6 @@ namespace funcsim {
  */
 constexpr int kMaxWarpLanes = 32;
 
-/**
- * Which execution core interprets warp instructions.
- *
- * Both modes produce bit-identical results — same memory contents,
- * same StageStats, same trace hashes, same ProfileKey (the mode is
- * deliberately NOT part of any cache key). kScalarReference is the
- * original lane-at-a-time interpreter, retained as the oracle for the
- * bit-identity tests and as the baseline `bench_funcsim` measures the
- * vectorized core against — the same pattern as the timing module's
- * legacy-scan vs event-driven engines.
- */
-enum class ExecMode
-{
-    /** Data-oriented core: one dispatch runs all lanes over SoA rows. */
-    kVectorized,
-    /** Original per-lane interpreter, kept as the comparison oracle. */
-    kScalarReference,
-};
-
 /** Grid/block shape of a kernel launch (1-D, as GT200-era kernels
  *  commonly flattened their indices anyway). */
 struct LaunchConfig
@@ -90,12 +71,17 @@ struct RunResult
     LaunchTrace trace;
 };
 
-/** The functional simulator. */
+/**
+ * The functional simulator: a data-oriented core in which one opcode
+ * dispatch executes all lanes of a warp over structure-of-arrays
+ * register rows (src/funcsim/README.md). It is pinned bit-identical —
+ * memory contents, StageStats, trace hashes — to the lane-at-a-time
+ * test oracle reference::ScalarFunctionalSimulator.
+ */
 class FunctionalSimulator
 {
   public:
-    explicit FunctionalSimulator(const arch::GpuSpec &spec,
-                                 ExecMode mode = ExecMode::kVectorized);
+    explicit FunctionalSimulator(const arch::GpuSpec &spec);
 
     /**
      * Execute @p kernel over @p cfg against @p gmem.
@@ -109,11 +95,9 @@ class FunctionalSimulator
                   GlobalMemory &gmem, const RunOptions &options = {});
 
     const arch::GpuSpec &spec() const { return spec_; }
-    ExecMode mode() const { return mode_; }
 
   private:
     arch::GpuSpec spec_;
-    ExecMode mode_;
     memxact::CoalescingSimulator coalescer_;
     memxact::BankConflictAnalyzer banks_;
 };

@@ -18,9 +18,10 @@ SimulatedDevice::run(const isa::Kernel &kernel,
                      funcsim::RunOptions options)
 {
     // One-shot path (e.g. the calibrator's many microbenchmark runs):
-    // functionally identical to profile() + measure(), minus the
-    // profile-identity work — no input-image hash, no stats copy —
-    // that only sharing or persisting the artifact would need.
+    // functionally identical to funcsim::profileKernel() + a timing
+    // replay + measure(profile, timing), minus the profile-identity
+    // work — no input-image hash, no stats copy — that only sharing or
+    // persisting the artifact would need.
     options.collectTrace = true;
     funcsim::RunResult func = funcSim_.run(kernel, cfg, gmem, options);
     Measurement m;
@@ -29,24 +30,13 @@ SimulatedDevice::run(const isa::Kernel &kernel,
     return m;
 }
 
-std::shared_ptr<const funcsim::KernelProfile>
-SimulatedDevice::profile(const isa::Kernel &kernel,
-                         const funcsim::LaunchConfig &cfg,
-                         funcsim::GlobalMemory &gmem,
-                         funcsim::RunOptions options)
-{
-    return std::make_shared<const funcsim::KernelProfile>(
-        funcsim::profileKernel(funcSim_, kernel, cfg, gmem, options));
-}
-
 namespace {
 
 /**
  * Re-apply the launch-ceiling checks the functional simulator
  * performed under the producing spec, against @p spec: a shared
  * profile must fail exactly where a per-cell functional run would
- * have (same conditions, same messages). Shared by the replaying and
- * memoized measurement paths.
+ * have (same conditions, same messages).
  */
 void
 revalidateLaunch(const funcsim::KernelProfile &profile,
@@ -67,16 +57,6 @@ revalidateLaunch(const funcsim::KernelProfile &profile,
 }
 
 } // namespace
-
-Measurement
-SimulatedDevice::measure(const funcsim::KernelProfile &profile) const
-{
-    revalidateLaunch(profile, spec_);
-    Measurement m;
-    m.timing = timingSim_.run(profile);
-    m.stats = profile.stats;
-    return m;
-}
 
 Measurement
 SimulatedDevice::measure(const funcsim::KernelProfile &profile,

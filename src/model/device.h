@@ -82,7 +82,11 @@ class SimulatedDevice
                              const SessionConfig &config = {});
 
     /**
-     * Execute and time a kernel.
+     * Execute and time a kernel. Bit-identical to
+     * funcsim::profileKernel() + timingSim().run(profile) +
+     * measure(profile, timing) (same simulations in the same order);
+     * run() merely skips the profile-identity work (input-image
+     * hashing, stats copy) a one-shot measurement does not need.
      *
      * @param kernel  the kernel
      * @param cfg     launch shape
@@ -95,35 +99,15 @@ class SimulatedDevice
                     funcsim::RunOptions options = {});
 
     /**
-     * Run only the functional half and package it as a shareable
-     * profile. profile() + measure() produces bit-identical results
-     * to run() (same simulations in the same order); run() merely
-     * skips the profile-identity work (input-image hashing, stats
-     * copy) a one-shot measurement does not need.
-     */
-    std::shared_ptr<const funcsim::KernelProfile>
-    profile(const isa::Kernel &kernel, const funcsim::LaunchConfig &cfg,
-            funcsim::GlobalMemory &gmem, funcsim::RunOptions options = {});
-
-    /**
-     * Replay a profile on this device's timing simulator. The profile
-     * may come from any device whose funcsim fingerprint matches this
-     * spec; the launch-ceiling checks the functional simulator would
-     * have applied are re-validated against THIS spec, so sharing a
-     * profile never hides a configuration error the per-cell pipeline
-     * would have reported.
-     */
-    Measurement measure(const funcsim::KernelProfile &profile) const;
-
-    /**
-     * Like measure(profile) but with the timing replay already done:
+     * Measure a shared profile with its timing replay already done.
      * @p timing MUST be what this device's timing simulator would
      * produce for @p profile (i.e. computed under a spec with this
-     * spec's arch::TimingFingerprint — the timing memo's contract),
-     * making the result bit-identical to measure(profile) without
-     * replaying. The per-spec launch-ceiling revalidation still runs:
-     * a memoized measurement must fail exactly where a fresh one
-     * would.
+     * spec's arch::TimingFingerprint — the timing memo's contract).
+     * The profile may come from any device whose funcsim fingerprint
+     * matches this spec; a mismatch is fatal, and the launch-ceiling
+     * checks the functional simulator would have applied are
+     * re-validated against THIS spec, so sharing a profile never hides
+     * a configuration error the per-cell pipeline would have reported.
      */
     Measurement measure(const funcsim::KernelProfile &profile,
                         const timing::TimingResult &timing) const;

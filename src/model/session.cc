@@ -21,24 +21,16 @@ AnalysisSession::analyze(const isa::Kernel &kernel,
                          funcsim::RunOptions options)
 {
     // One-shot path: same simulations in the same order as
-    // profile() + analyze(profile) — bit-identical results, pinned by
-    // tests/test_profile.cc — without the profile-identity work
-    // (input-image hash, stats copy) only sharing would need.
+    // funcsim::profileKernel() + a timing replay + analyze(profile,
+    // timing) — bit-identical results, pinned by tests/test_profile.cc
+    // — without the profile-identity work (input-image hash, stats
+    // copy) only sharing would need.
     Measurement m = device_.run(kernel, cfg, gmem, options);
     arch::KernelResources res;
     res.registersPerThread = kernel.numRegisters();
     res.sharedBytesPerBlock = kernel.sharedBytes();
     res.threadsPerBlock = cfg.blockDim;
     return analyzeMeasured(std::move(m), res);
-}
-
-Analysis
-AnalysisSession::analyze(
-    const std::shared_ptr<const funcsim::KernelProfile> &profile)
-{
-    GPUPERF_ASSERT(profile != nullptr, "cannot analyze a null profile");
-    Measurement m = device_.measure(*profile);
-    return analyzeMeasured(std::move(m), profile->resources);
 }
 
 Analysis

@@ -57,8 +57,10 @@ class AnalysisSession
     /**
      * Run the full workflow on one kernel launch: one
      * functional-simulation pass driving timing, extraction and
-     * prediction. Bit-identical to profile() + analyze(profile),
-     * which shares the pass across sessions instead.
+     * prediction. Bit-identical to funcsim::profileKernel() + a timing
+     * replay + analyze(profile, timing), which shares both passes
+     * across sessions instead (pinned by
+     * KernelProfile.ReuseAcrossSpecVariantsIsBitIdentical).
      */
     Analysis analyze(const isa::Kernel &kernel,
                      const funcsim::LaunchConfig &cfg,
@@ -66,32 +68,12 @@ class AnalysisSession
                      funcsim::RunOptions options = {});
 
     /**
-     * Functionally simulate one launch into a shareable profile.
-     * The result may be analyzed by this session and by any other
-     * session whose spec has the same funcsim fingerprint — that is
-     * how an N x M batch runs N functional simulations, not N x M.
-     */
-    std::shared_ptr<const funcsim::KernelProfile>
-    profile(const isa::Kernel &kernel, const funcsim::LaunchConfig &cfg,
-            funcsim::GlobalMemory &gmem, funcsim::RunOptions options = {})
-    {
-        return device_.profile(kernel, cfg, gmem, options);
-    }
-
-    /**
-     * Run the workflow from an existing profile: timing replay under
-     * this session's spec, then extraction and prediction. No
-     * functional simulation happens.
-     */
-    Analysis analyze(
-        const std::shared_ptr<const funcsim::KernelProfile> &profile);
-
-    /**
-     * Like analyze(profile) with the timing replay already available
+     * Run the workflow from an existing profile and its timing replay
      * (e.g. from the BatchRunner's timing memo keyed by profile key x
-     * arch::TimingFingerprint). @p timing must be what this session's
-     * device would replay for @p profile; the result is then
-     * bit-identical to analyze(profile) with zero timing simulation.
+     * arch::TimingFingerprint): extraction and prediction only. The
+     * profile may come from any spec with this session's funcsim
+     * fingerprint; @p timing must be what this session's device would
+     * replay for @p profile.
      */
     Analysis analyze(
         const std::shared_ptr<const funcsim::KernelProfile> &profile,

@@ -69,34 +69,6 @@ CostModel::observe(const std::string &key, const CostFeatures &f,
     }
 }
 
-void
-CostModel::seed(const std::string &key, double ms, uint64_t count)
-{
-    if (count == 0 || !(ms >= 0.0) || !std::isfinite(ms))
-        return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    Observation &obs = observations_[key];
-    if (obs.count > 0)
-        return; // in-process observations are fresher
-    obs.ewmaMs = ms;
-    obs.count = count;
-}
-
-bool
-CostModel::observed(const std::string &key, double *ms,
-                    uint64_t *count) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = observations_.find(key);
-    if (it == observations_.end() || it->second.count == 0)
-        return false;
-    if (ms)
-        *ms = it->second.ewmaMs;
-    if (count)
-        *count = it->second.count;
-    return true;
-}
-
 double
 CostModel::predictionErrorAbsSum() const
 {

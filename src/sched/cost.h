@@ -11,10 +11,15 @@
  *    ops + warps), converted to approximate milliseconds by a learned
  *    ms-per-unit factor so static and observed estimates stay
  *    comparable inside one queue;
- *  - observed: an EWMA of historical wall times per observation key
- *    (the (profile key, timing fingerprint) string), seeded from the
- *    TimingStore's persisted observation side-channel so a fleet
- *    learns across processes.
+ *  - observed: an EWMA of the wall times this process has measured
+ *    per observation key. The fleet dispatcher keys cells on
+ *    api::cellCostKey, a hash of the request bytes, so it learns per
+ *    request content, in-process only.
+ *
+ * The TimingStore's persisted `.obs` side-channel keys on profile key
+ * x timing fingerprint, which a request's bytes do not determine, so it
+ * never feeds this model: driver::BatchRunner reads `.obs` directly,
+ * and only for its non-FIFO ready orders.
  *
  * Thread-safe; one instance is shared by every scheduler in a process.
  */
@@ -74,16 +79,6 @@ class CostModel
      */
     void observe(const std::string &key, const CostFeatures &f,
                  double ms);
-
-    /**
-     * Install a persisted observation (from the TimingStore
-     * side-channel) unless a fresher in-process one already exists.
-     */
-    void seed(const std::string &key, double ms, uint64_t count);
-
-    /** The observed EWMA for @p key, if any. */
-    bool observed(const std::string &key, double *ms,
-                  uint64_t *count = nullptr) const;
 
     /** |predicted - measured| accumulation for the stats surface. */
     double predictionErrorAbsSum() const;

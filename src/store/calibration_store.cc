@@ -85,7 +85,7 @@ CalibrationStore::leasePath(const arch::GpuSpec &spec) const
            ".lease";
 }
 
-CalibrationLease
+Lease
 CalibrationStore::tryAcquireLease(const arch::GpuSpec &spec) const
 {
     return store::tryAcquireLease(leasePath(spec), leaseStaleAfterMs_,

@@ -26,13 +26,6 @@
 namespace gpuperf {
 namespace store {
 
-/**
- * The calibration store's lease handle IS the generic store::Lease
- * (ProfileStore and TimingStore share the same mechanism). The alias
- * keeps older callers compiling.
- */
-using CalibrationLease = Lease;
-
 /** Thread-safe; load/save may be called from any worker. */
 class CalibrationStore
 {
@@ -107,7 +100,7 @@ class CalibrationStore
      * lease on success; an empty (not held) one while another LIVE
      * process holds it. A stale lease is broken and re-acquired.
      */
-    CalibrationLease tryAcquireLease(const arch::GpuSpec &spec) const;
+    Lease tryAcquireLease(const arch::GpuSpec &spec) const;
 
     /**
      * True while some process (possibly this one) holds a fresh

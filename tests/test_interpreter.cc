@@ -12,6 +12,8 @@
 #include "funcsim/interpreter.h"
 #include "isa/builder.h"
 
+#include "reference_funcsim.h"
+
 namespace gpuperf {
 namespace funcsim {
 namespace {
@@ -623,10 +625,11 @@ TEST(Interpreter, ActiveWarpCensusTracksPartialBlocks)
 }
 
 // --------------------------------------------------------------------
-// Vectorized-vs-scalar bit-identity: the data-oriented core must be
-// indistinguishable from the original lane-at-a-time interpreter —
-// same memory image, same StageStats, same interned traces — on every
-// divergence shape the mask machinery can produce.
+// Library-vs-oracle bit-identity: the data-oriented core must be
+// indistinguishable from the lane-at-a-time oracle in
+// reference_funcsim.h — same memory image, same StageStats, same
+// interned traces — on every divergence shape the mask machinery can
+// produce.
 // --------------------------------------------------------------------
 
 /**
@@ -646,10 +649,11 @@ halfWarpSpec()
 }
 
 /**
- * Run @p k under both execution cores on copies of @p pristine and
- * require byte-identical results: per-stage statistics, barrier
- * census, interned warp traces (contents and hashes), per-block trace
- * indices, and the final memory image digest.
+ * Run @p k under the library's simulator and the lane-at-a-time oracle
+ * on copies of @p pristine and require byte-identical results:
+ * per-stage statistics, barrier census, interned warp traces
+ * (contents and hashes), per-block trace indices, and the final
+ * memory image digest.
  */
 void
 expectBitIdentical(const isa::Kernel &k, const LaunchConfig &cfg,
@@ -658,8 +662,8 @@ expectBitIdentical(const isa::Kernel &k, const LaunchConfig &cfg,
 {
     GlobalMemory memRef = pristine;
     GlobalMemory memVec = pristine;
-    FunctionalSimulator ref(gs, ExecMode::kScalarReference);
-    FunctionalSimulator vec(gs, ExecMode::kVectorized);
+    reference::ScalarFunctionalSimulator ref(gs);
+    FunctionalSimulator vec(gs);
     RunOptions opts;
     opts.collectTrace = true;
     RunResult a = ref.run(k, cfg, memRef, opts);
@@ -699,7 +703,7 @@ hashedMemory()
     return gmem;
 }
 
-TEST(ExecModeIdentity, EmptyActiveMaskAfterIf)
+TEST(FuncsimOracleIdentity, EmptyActiveMaskAfterIf)
 {
     // No lane satisfies the predicate: the IF body runs with an empty
     // mask and there is no else arm to repopulate it.
@@ -720,7 +724,7 @@ TEST(ExecModeIdentity, EmptyActiveMaskAfterIf)
     expectBitIdentical(k, {2, 64}, hashedMemory(), halfWarpSpec());
 }
 
-TEST(ExecModeIdentity, AllLanesTakeIfWithEmptyElse)
+TEST(FuncsimOracleIdentity, AllLanesTakeIfWithEmptyElse)
 {
     KernelBuilder b("full-if");
     Reg tid = b.reg();
@@ -740,7 +744,7 @@ TEST(ExecModeIdentity, AllLanesTakeIfWithEmptyElse)
     expectBitIdentical(k, {1, 96}, hashedMemory(), halfWarpSpec());
 }
 
-TEST(ExecModeIdentity, SingleLaneBranchArm)
+TEST(FuncsimOracleIdentity, SingleLaneBranchArm)
 {
     // Fully divergent warp: each loop iteration isolates exactly one
     // lane through an equality predicate.
@@ -762,7 +766,7 @@ TEST(ExecModeIdentity, SingleLaneBranchArm)
     expectBitIdentical(k, {1, 32}, hashedMemory(), halfWarpSpec());
 }
 
-TEST(ExecModeIdentity, PerLaneLoopTripCounts)
+TEST(FuncsimOracleIdentity, PerLaneLoopTripCounts)
 {
     // tid-dependent trip counts: the loop mask thins lane by lane.
     KernelBuilder b("lane-trips");
@@ -788,7 +792,7 @@ TEST(ExecModeIdentity, PerLaneLoopTripCounts)
     expectBitIdentical(k, {1, 64}, hashedMemory(), halfWarpSpec());
 }
 
-TEST(ExecModeIdentity, PredicateNegatePaths)
+TEST(FuncsimOracleIdentity, PredicateNegatePaths)
 {
     // Negated guards on both structured constructs: beginIf(p, true)
     // and brk(p, true) exercise the negate flag in guardMask.
@@ -821,7 +825,7 @@ TEST(ExecModeIdentity, PredicateNegatePaths)
     expectBitIdentical(k, {2, 48}, hashedMemory(), halfWarpSpec());
 }
 
-TEST(ExecModeIdentity, TailWarpsAndSubWarpSpecs)
+TEST(FuncsimOracleIdentity, TailWarpsAndSubWarpSpecs)
 {
     // blockDim 40 leaves a 8-lane tail warp on gtx285; blockDim 24
     // leaves an 8-lane tail on the 16-lane spec. Divergence inside
@@ -847,7 +851,7 @@ TEST(ExecModeIdentity, TailWarpsAndSubWarpSpecs)
     expectBitIdentical(k, {1, 17}, hashedMemory(), halfWarpSpec());
 }
 
-TEST(ExecModeIdentity, SharedMemoryUnderDivergence)
+TEST(FuncsimOracleIdentity, SharedMemoryUnderDivergence)
 {
     // STS/LDS inside a divergent IF: the inactive lanes must keep
     // their registers and shared words untouched, and conflict
@@ -876,7 +880,7 @@ TEST(ExecModeIdentity, SharedMemoryUnderDivergence)
     expectBitIdentical(k, {2, 32}, hashedMemory(), halfWarpSpec());
 }
 
-TEST(ExecModeIdentity, GlobalAndTextureUnderDivergence)
+TEST(FuncsimOracleIdentity, GlobalAndTextureUnderDivergence)
 {
     // Divergent LDG/STG/LDT with a data-dependent stride: coalescing
     // segment splits and texture line dedup must agree exactly.
@@ -906,7 +910,7 @@ TEST(ExecModeIdentity, GlobalAndTextureUnderDivergence)
     expectBitIdentical(k, {2, 32}, gmem, halfWarpSpec());
 }
 
-TEST(ExecModeIdentity, FmadSharedUnderDivergence)
+TEST(FuncsimOracleIdentity, FmadSharedUnderDivergence)
 {
     // FMAD with a shared-memory operand inside a divergent IF: the
     // gathered operand, conflict passes and trace fields must match.

@@ -489,11 +489,12 @@ TEST(Compactor, ProfileStoreServesCompactedEntriesBitExactly)
     const std::string dir = freshDir("ps-compact") + "/profiles";
     auto kc = driver::makeStencil1dCase("stencil", 8, 128);
     auto launch = kc.make();
-    model::SimulatedDevice dev(arch::GpuSpec::gtx285());
-    auto profile = dev.profile(launch.kernel, launch.cfg, *launch.gmem);
+    funcsim::FunctionalSimulator sim(arch::GpuSpec::gtx285());
+    const funcsim::KernelProfile profile = funcsim::profileKernel(
+        sim, launch.kernel, launch.cfg, *launch.gmem);
     {
         store::ProfileStore ps(dir);
-        ASSERT_TRUE(ps.save(*profile));
+        ASSERT_TRUE(ps.save(profile));
     }
     store::CompactOptions opts;
     opts.force = true;
@@ -504,12 +505,12 @@ TEST(Compactor, ProfileStoreServesCompactedEntriesBitExactly)
     ASSERT_EQ(store::listSegmentFiles(dir).size(), 1u);
 
     store::ProfileStore warm(dir);
-    auto loaded = warm.load(profile->key);
+    auto loaded = warm.load(profile.key);
     ASSERT_NE(loaded, nullptr)
         << "a compacted profile must load through the segment";
     EXPECT_EQ(warm.hits(), 1u);
-    EXPECT_EQ(loaded->kernelName, profile->kernelName);
-    EXPECT_EQ(loaded->trace.totalOps(), profile->trace.totalOps());
+    EXPECT_EQ(loaded->kernelName, profile.kernelName);
+    EXPECT_EQ(loaded->trace.totalOps(), profile.trace.totalOps());
     EXPECT_GT(warm.stats().bytesRead, 0u);
 }
 

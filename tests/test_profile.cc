@@ -3,20 +3,27 @@
  * KernelProfile tests: the funcsim fingerprint is the right sub-key of
  * the spec fingerprint, kernel hashing keys on content (not name),
  * profile reuse across spec variants is bit-identical to per-cell
- * re-simulation (serially and through BatchRunner), and invalid
- * homogeneous sampling is caught in debug builds instead of silently
- * fabricating statistics.
+ * re-simulation (serially and through BatchRunner), the library's
+ * profiles are bit-identical to the lane-at-a-time oracle's, and
+ * invalid homogeneous sampling is caught in debug builds instead of
+ * silently fabricating statistics.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "apps/matmul/gemm.h"
+#include "apps/spmv/formats.h"
+#include "apps/spmv/kernels.h"
+#include "apps/spmv/matrix.h"
+#include "apps/tridiag/cyclic_reduction.h"
 #include "driver/batch_runner.h"
 #include "driver/demo_cases.h"
 #include "isa/builder.h"
 #include "model/session.h"
 
+#include "reference_funcsim.h"
 #include "reference_pipeline.h"
 
 namespace gpuperf {
@@ -43,6 +50,24 @@ std::shared_ptr<const model::CalibrationTables>
 sharedFakeTables()
 {
     return std::make_shared<const model::CalibrationTables>(fakeTables());
+}
+
+/** One functional simulation of @p launch under @p spec, shareable. */
+std::shared_ptr<const funcsim::KernelProfile>
+profileOf(driver::PreparedLaunch &launch, const arch::GpuSpec &spec)
+{
+    funcsim::FunctionalSimulator sim(spec);
+    return std::make_shared<const funcsim::KernelProfile>(
+        funcsim::profileKernel(sim, launch.kernel, launch.cfg,
+                               *launch.gmem));
+}
+
+/** The timing replay of @p profile under @p spec, shareable. */
+std::shared_ptr<const timing::TimingResult>
+timingOf(const funcsim::KernelProfile &profile, const arch::GpuSpec &spec)
+{
+    return std::make_shared<const timing::TimingResult>(
+        timing::TimingSimulator(spec).run(profile));
 }
 
 /** Every double the workflow produces, compared bit for bit. */
@@ -168,21 +193,19 @@ TEST(KernelProfile, ReuseAcrossSpecVariantsIsBitIdentical)
     auto kc = driver::makeStencil1dCase("stencil", 8, 128);
 
     // One functional simulation under the base spec...
-    model::AnalysisSession base(arch::GpuSpec::gtx285());
-    base.adoptCalibration(sharedFakeTables());
     auto launch = kc.make();
-    auto profile =
-        base.profile(launch.kernel, launch.cfg, *launch.gmem);
+    auto profile = profileOf(launch, arch::GpuSpec::gtx285());
 
     // ...consumed by sessions for funcsim-equivalent variants must
-    // match those variants' own full per-cell pipeline bit for bit.
+    // match those variants' own one-shot pipeline bit for bit.
     for (const arch::GpuSpec &spec :
          {arch::GpuSpec::gtx285(), arch::GpuSpec::gtx285MoreBlocks(),
           arch::GpuSpec::gtx285BigResources()}) {
         SCOPED_TRACE(spec.name);
         model::AnalysisSession shared_session(spec);
         shared_session.adoptCalibration(sharedFakeTables());
-        const model::Analysis got = shared_session.analyze(profile);
+        const model::Analysis got =
+            shared_session.analyze(profile, timingOf(*profile, spec));
 
         model::AnalysisSession percell_session(spec);
         percell_session.adoptCalibration(sharedFakeTables());
@@ -260,10 +283,10 @@ TEST(KernelProfile, MismatchedFingerprintIsFatal)
 {
     auto kc = driver::makeSaxpyCase("saxpy", 4, 128, 2.0f);
     auto launch = kc.make();
-    model::SimulatedDevice base(arch::GpuSpec::gtx285());
-    auto profile = base.profile(launch.kernel, launch.cfg, *launch.gmem);
+    auto profile = profileOf(launch, arch::GpuSpec::gtx285());
+    auto timing = timingOf(*profile, arch::GpuSpec::gtx285());
     model::SimulatedDevice prime(arch::GpuSpec::gtx285PrimeBanks());
-    EXPECT_EXIT(prime.measure(*profile),
+    EXPECT_EXIT(prime.measure(*profile, *timing),
                 ::testing::ExitedWithCode(1), "incompatible");
 }
 
@@ -273,12 +296,13 @@ TEST(KernelProfile, SharedProfileStillHitsPerSpecLaunchCeilings)
     // profile exactly where its own functional run would have.
     auto kc = driver::makeSaxpyCase("saxpy", 4, 512, 2.0f);
     auto launch = kc.make();
-    model::SimulatedDevice base(arch::GpuSpec::gtx285());
-    auto profile = base.profile(launch.kernel, launch.cfg, *launch.gmem);
+    auto profile = profileOf(launch, arch::GpuSpec::gtx285());
+    auto timing = timingOf(*profile, arch::GpuSpec::gtx285());
     arch::GpuSpec small = arch::GpuSpec::gtx285();
     small.maxThreadsPerBlock = 256;
     model::SimulatedDevice dev(small);
-    EXPECT_EXIT(dev.measure(*profile), ::testing::ExitedWithCode(1),
+    EXPECT_EXIT(dev.measure(*profile, *timing),
+                ::testing::ExitedWithCode(1),
                 "exceeds the 256-thread block ceiling");
 }
 
@@ -375,12 +399,12 @@ TEST(StencilCase, ExercisesCoalescedAndHaloTraffic)
 }
 
 // --------------------------------------------------------------------
-// Execution-core bit-identity at the KernelProfile level: for every
-// demo case, the vectorized interpreter must produce byte-identical
-// profiles (key, per-stage stats, trace hashes) and the same final
-// memory image as the retained scalar-reference core — on the stock
-// 32-lane spec and on a 16-lane variant. The ExecMode is deliberately
-// NOT part of ProfileKey; this test is what makes that sharing safe.
+// Library-vs-oracle bit-identity at the KernelProfile level: for every
+// demo case, the library's profile (key, per-stage stats, trace hashes)
+// and final memory image must equal what the lane-at-a-time oracle in
+// reference_funcsim.h produces — on the stock 32-lane spec and on a
+// 16-lane variant — and so must the paper's case-study launches, which
+// also run homogeneous sampling through both sides' block loops.
 // --------------------------------------------------------------------
 
 arch::GpuSpec
@@ -400,16 +424,22 @@ expectProfilesBitIdentical(const driver::KernelCase &kc,
     SCOPED_TRACE(kc.name + " on " + gs.name);
     auto la = kc.make();
     auto lb = kc.make();
-    funcsim::FunctionalSimulator ref(gs,
-                                     funcsim::ExecMode::kScalarReference);
-    funcsim::FunctionalSimulator vec(gs, funcsim::ExecMode::kVectorized);
-    auto pa = funcsim::profileKernel(ref, la.kernel, la.cfg, *la.gmem,
-                                     la.options);
-    auto pb = funcsim::profileKernel(vec, lb.kernel, lb.cfg, *lb.gmem,
-                                     lb.options);
+    // Keys first, on the pristine images: the runs mutate them.
+    const funcsim::ProfileKey ka = funcsim::makeProfileKey(
+        la.kernel, la.cfg, la.options, gs, *la.gmem);
+    const funcsim::ProfileKey kb = funcsim::makeProfileKey(
+        lb.kernel, lb.cfg, lb.options, gs, *lb.gmem);
+    funcsim::RunOptions ref_opts = la.options;
+    ref_opts.collectTrace = true;  // what profileKernel() always runs
+    reference::ScalarFunctionalSimulator ref(gs);
+    funcsim::FunctionalSimulator sim(gs);
+    const funcsim::RunResult pa =
+        ref.run(la.kernel, la.cfg, *la.gmem, ref_opts);
+    const funcsim::KernelProfile pb = funcsim::profileKernel(
+        sim, lb.kernel, lb.cfg, *lb.gmem, lb.options, kb);
 
-    EXPECT_TRUE(pa.key == pb.key);
-    EXPECT_EQ(pa.key.str(), pb.key.str());
+    EXPECT_TRUE(ka == pb.key);
+    EXPECT_EQ(ka.str(), pb.key.str());
 
     ASSERT_EQ(pa.stats.stages.size(), pb.stats.stages.size());
     for (size_t i = 0; i < pa.stats.stages.size(); ++i)
@@ -433,7 +463,7 @@ expectProfilesBitIdentical(const driver::KernelCase &kc,
     EXPECT_EQ(la.gmem->contentHash(), lb.gmem->contentHash());
 }
 
-TEST(ExecModeProfileIdentity, AllDemoCasesOnBothSpecs)
+TEST(FuncsimOracleProfileIdentity, AllDemoCasesOnBothSpecs)
 {
     const std::vector<driver::KernelCase> cases = {
         driver::makeSaxpyCase("saxpy", 4, 128, 2.5f),
@@ -449,6 +479,77 @@ TEST(ExecModeProfileIdentity, AllDemoCasesOnBothSpecs)
     for (const auto &kc : cases)
         for (const auto &gs : specs)
             expectProfilesBitIdentical(kc, gs);
+}
+
+using AppLaunch = std::pair<isa::Kernel, funcsim::LaunchConfig>;
+
+/**
+ * A case-study launch on a fresh image. @p sample > 0 samples that
+ * many blocks homogeneously, as the figure benches do for GEMM and CR.
+ */
+driver::KernelCase
+appCase(const std::string &name, int sample,
+        std::function<AppLaunch(funcsim::GlobalMemory &)> build)
+{
+    return {name + (sample > 0 ? ", " + std::to_string(sample) +
+                                     " sampled blocks"
+                               : ""),
+            [sample, build] {
+                auto gmem = std::make_unique<funcsim::GlobalMemory>(4 << 20);
+                AppLaunch app = build(*gmem);
+                driver::PreparedLaunch l(std::move(app.first));
+                l.cfg = app.second;
+                l.gmem = std::move(gmem);
+                l.options.homogeneous = sample > 0;
+                l.options.sampleBlocks = std::max(sample, 1);
+                return l;
+            }};
+}
+
+TEST(FuncsimOracleProfileIdentity, PaperCaseStudiesOnGtx285)
+{
+    std::vector<driver::KernelCase> cases;
+    for (int sample : {1, 2}) {
+        for (int tile : {16, 32}) {
+            cases.push_back(appCase(
+                "gemm tile " + std::to_string(tile), sample,
+                [tile](funcsim::GlobalMemory &g) {
+                    const apps::GemmProblem p =
+                        apps::makeGemmProblem(g, 128, tile);
+                    return AppLaunch(apps::makeGemmKernel(p), p.launch());
+                }));
+        }
+        for (bool padded : {false, true}) {
+            cases.push_back(appCase(
+                padded ? "cr-nbc" : "cr", sample,
+                [padded](funcsim::GlobalMemory &g) {
+                    const apps::TridiagProblem p =
+                        apps::makeTridiagProblem(g, 128, 8, padded);
+                    return AppLaunch(apps::makeCyclicReductionKernel(p),
+                                     p.launch());
+                }));
+        }
+    }
+    // SpMV is data-dependent, so its launches run every block.
+    const apps::BlockSparseMatrix m =
+        apps::makeBandedBlockMatrix(256, 13, 24);
+    cases.push_back(appCase("spmv ell", 0, [&m](funcsim::GlobalMemory &g) {
+        const apps::SpmvVectors v = apps::makeVectors(g, m);
+        const apps::EllDeviceMatrix ell = apps::buildEll(g, m);
+        return AppLaunch(apps::makeEllKernel(ell, v, false),
+                         {apps::spmvGridDim(m.rows()),
+                          apps::kSpmvBlockDim});
+    }));
+    cases.push_back(
+        appCase("spmv bell+imiv", 0, [&m](funcsim::GlobalMemory &g) {
+            const apps::SpmvVectors v = apps::makeVectors(g, m);
+            const apps::BellDeviceMatrix bell = apps::buildBell(g, m, true);
+            return AppLaunch(apps::makeBellKernel(bell, v, true, false),
+                             {apps::spmvGridDim(m.blockRows),
+                              apps::kSpmvBlockDim});
+        }));
+    for (const auto &kc : cases)
+        expectProfilesBitIdentical(kc, arch::GpuSpec::gtx285());
 }
 
 } // namespace

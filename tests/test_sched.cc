@@ -117,24 +117,6 @@ TEST(CostModel, ObservationsRefineTheEstimate)
     EXPECT_GT(model.predictionErrorAbsSum(), 0.0);
 }
 
-TEST(CostModel, SeedInstallsButNeverOverridesInProcessHistory)
-{
-    sched::CostModel model;
-    sched::CostFeatures f;
-
-    model.seed("cold", 25.0, 4);
-    double ms = 0.0;
-    uint64_t count = 0;
-    ASSERT_TRUE(model.observed("cold", &ms, &count));
-    EXPECT_DOUBLE_EQ(ms, 25.0);
-    EXPECT_EQ(count, 4u);
-
-    model.observe("hot", f, 10.0);
-    model.seed("hot", 99.0, 100); // persisted, but staler than ours
-    ASSERT_TRUE(model.observed("hot", &ms, &count));
-    EXPECT_DOUBLE_EQ(ms, 10.0);
-}
-
 TEST(CostModel, EwmaMergeFirstSampleWinsThenSmooths)
 {
     EXPECT_DOUBLE_EQ(sched::CostModel::ewmaMerge(0.0, 0, 50.0), 50.0);

@@ -59,6 +59,16 @@ sharedFakeTables()
     return std::make_shared<const model::CalibrationTables>(fakeTables());
 }
 
+/** One functional simulation of @p launch under @p spec, shareable. */
+std::shared_ptr<const funcsim::KernelProfile>
+profileOf(driver::PreparedLaunch &launch, const arch::GpuSpec &spec)
+{
+    funcsim::FunctionalSimulator sim(spec);
+    return std::make_shared<const funcsim::KernelProfile>(
+        funcsim::profileKernel(sim, launch.kernel, launch.cfg,
+                               *launch.gmem));
+}
+
 std::string
 freshDir(const std::string &name)
 {
@@ -144,7 +154,7 @@ TEST(ProfileStore, RoundTripDrivesBitIdenticalPredictions)
     auto launch = kc.make();
     model::AnalysisSession session(arch::GpuSpec::gtx285());
     session.adoptCalibration(sharedFakeTables());
-    auto profile = session.profile(launch.kernel, launch.cfg, *launch.gmem);
+    auto profile = profileOf(launch, session.spec());
 
     store::ProfileStore ps(freshDir("profiles"));
     ASSERT_TRUE(ps.save(*profile));
@@ -166,9 +176,13 @@ TEST(ProfileStore, RoundTripDrivesBitIdenticalPredictions)
     ASSERT_EQ(loaded->trace.blocks.size(), profile->trace.blocks.size());
     EXPECT_EQ(loaded->trace.totalOps(), profile->trace.totalOps());
 
-    // ...so serialize -> load -> predict is exact.
-    const model::Analysis from_memory = session.analyze(profile);
-    const model::Analysis from_disk = session.analyze(loaded);
+    // ...so serialize -> load -> replay -> predict is exact.
+    const model::Analysis from_memory = session.analyze(
+        profile, std::make_shared<const timing::TimingResult>(
+                     session.device().timingSim().run(*profile)));
+    const model::Analysis from_disk = session.analyze(
+        loaded, std::make_shared<const timing::TimingResult>(
+                    session.device().timingSim().run(*loaded)));
     EXPECT_EQ(from_disk.prediction.totalSeconds,
               from_memory.prediction.totalSeconds);
     EXPECT_EQ(from_disk.measurement.timing.cycles,
@@ -181,8 +195,7 @@ TEST(ProfileStore, MissesOnDifferentKey)
 {
     auto kc = driver::makeSaxpyCase("saxpy", 4, 128, 2.0f);
     auto launch = kc.make();
-    model::SimulatedDevice dev(arch::GpuSpec::gtx285());
-    auto profile = dev.profile(launch.kernel, launch.cfg, *launch.gmem);
+    auto profile = profileOf(launch, arch::GpuSpec::gtx285());
 
     store::ProfileStore ps(freshDir("profile-miss"));
     ASSERT_TRUE(ps.save(*profile));
@@ -264,8 +277,7 @@ TEST(ProfileStore, ReadKeyValidatesWithoutDeserializing)
 {
     auto kc = driver::makeSaxpyCase("saxpy", 4, 128, 2.0f);
     auto launch = kc.make();
-    model::SimulatedDevice dev(arch::GpuSpec::gtx285());
-    auto profile = dev.profile(launch.kernel, launch.cfg, *launch.gmem);
+    auto profile = profileOf(launch, arch::GpuSpec::gtx285());
 
     store::ProfileStore ps(freshDir("profile-readkey"));
     EXPECT_FALSE(ps.readKey(profile->key)) << "nothing stored yet";
@@ -305,10 +317,9 @@ TEST(TimingStore, RoundTripsReplaysBitExactlyPerFingerprint)
     auto kc = driver::makeStencil1dCase("stencil", 8, 128);
     auto launch = kc.make();
     const arch::GpuSpec spec = arch::GpuSpec::gtx285();
-    model::SimulatedDevice dev(spec);
-    auto profile = dev.profile(launch.kernel, launch.cfg, *launch.gmem);
+    auto profile = profileOf(launch, spec);
     const timing::TimingResult replay =
-        dev.timingSim().run(*profile);
+        timing::TimingSimulator(spec).run(*profile);
 
     store::TimingStore ts(freshDir("timing-store"));
     const arch::TimingFingerprint fp = arch::TimingFingerprint::of(spec);
@@ -524,18 +535,18 @@ TEST(CalibrationLease, ExactlyOneProcessHoldsAFreshLease)
     store::CalibrationStore b(dir);
 
     EXPECT_FALSE(a.leaseHeld(spec));
-    store::CalibrationLease held = a.tryAcquireLease(spec);
+    store::Lease held = a.tryAcquireLease(spec);
     ASSERT_TRUE(held.held());
     EXPECT_TRUE(b.leaseHeld(spec))
         << "the marker must be visible through any store object";
 
-    store::CalibrationLease lost = b.tryAcquireLease(spec);
+    store::Lease lost = b.tryAcquireLease(spec);
     EXPECT_FALSE(lost.held())
         << "a fresh lease held by a live pid must not be taken";
 
     held.release();
     EXPECT_FALSE(b.leaseHeld(spec));
-    store::CalibrationLease second = b.tryAcquireLease(spec);
+    store::Lease second = b.tryAcquireLease(spec);
     EXPECT_TRUE(second.held()) << "released leases are re-acquirable";
 }
 
@@ -556,7 +567,7 @@ TEST(CalibrationLease, StaleLeasesAreBrokenAndRetaken)
         marker << 999999999 << " " << 1 << "\n"; // dead pid, ancient
     }
     EXPECT_FALSE(store.leaseHeld(spec));
-    store::CalibrationLease stolen = store.tryAcquireLease(spec);
+    store::Lease stolen = store.tryAcquireLease(spec);
     EXPECT_TRUE(stolen.held());
     stolen.release();
 
@@ -575,7 +586,7 @@ TEST(CalibrationLease, StaleLeasesAreBrokenAndRetaken)
         << "under the default 15-min threshold the lease is fresh";
     store.setLeaseStaleAfter(std::chrono::milliseconds(10));
     EXPECT_FALSE(store.leaseHeld(spec));
-    store::CalibrationLease aged = store.tryAcquireLease(spec);
+    store::Lease aged = store.tryAcquireLease(spec);
     EXPECT_TRUE(aged.held());
 }
 
