@@ -8,8 +8,10 @@
  *    and histogram kernel cases, each a full functional-sim ->
  *    extraction -> prediction -> what-if workflow). Calibration
  *    happens once, outside the timed region, and is adopted by every
- *    executor. Gate: >= 2x analyses/sec at 4 threads over 1 thread
- *    (enforced with >= 4 hardware threads).
+ *    executor; every run starts from a fresh executor. Gate: the
+ *    median over kPairs interleaved (1 thread, 4 threads) runs of the
+ *    per-pair analyses/sec ratio is >= 2x (enforced with >= 4
+ *    hardware threads).
  *
  * 2. Profile sharing and the persistent store on an N x M spec-variant
  *    grid (the paper's Section 5 what-if studies): the per-cell
@@ -18,9 +20,12 @@
  *    N x M cells; a warm store skips them entirely across process
  *    restarts (service.reset() plays the restart). Every side runs on
  *    one thread, as the serial reference does, so the ratios measure
- *    sharing, not threads. Gate: warm-store analyses/sec >= 3x the
- *    per-cell reference at M >= 4 variants (results are bit-identical
- *    either way — pinned by test_profile/test_store/test_api).
+ *    sharing, not threads. Gate: the median over kPairs interleaved
+ *    (per-cell reference, warm store) runs of the per-pair
+ *    analyses/sec ratio is >= 3x at M >= 4 variants (results are
+ *    bit-identical either way — pinned by
+ *    test_profile/test_store/test_api); every warm run must load every
+ *    profile from the store.
  *
  * 3. Streaming delivery: on a two-spec batch whose cold calibrations
  *    cost very differently, a streamed request must hand over the
@@ -28,8 +33,17 @@
  *    is still running. Gate: time-to-first-result < time of the last
  *    calibration completing. Reported in bench_batch_throughput.json
  *    ("streaming").
+ *
+ * Why pairs: on a shared machine scheduler noise hits single runs (the
+ * 4-thread ratio of one run swings from under 1x to over 4x), while
+ * the median of interleaved per-pair ratios stays put, as in
+ * bench_funcsim. An untimed 4-thread warm-up (kWarmupSeconds) runs
+ * first, because noise that lasts longer than a pair lands right after
+ * an idle spell. bench_batch_throughput.json records every pair's
+ * ratio and both medians.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -47,6 +61,32 @@
 using namespace gpuperf;
 
 namespace {
+
+/** Interleaved trial pairs timed per gate (like bench_funcsim). */
+constexpr int kPairs = 9;
+/** Untimed multi-threaded load before the thread-scaling pairs. */
+constexpr double kWarmupSeconds = 2.0;
+
+/** Median of an odd-sized sample. */
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+}
+
+/** @p v as a JSON array of three-decimal numbers. */
+std::string
+jsonArray(const std::vector<double> &v)
+{
+    std::string out = "[";
+    for (size_t i = 0; i < v.size(); ++i) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%s%.3f", i ? ", " : "", v[i]);
+        out += buf;
+    }
+    return out + "]";
+}
 
 /**
  * The batch as wire-portable case refs — the same KernelJobs a fleet
@@ -199,44 +239,56 @@ main(int argc, char **argv)
     base.kernels = makeBatch(points, opts.full);
     base.specs = {spec};
 
-    Table t({"threads", "analyses", "seconds", "analyses/sec",
-             "speedup vs 1T"});
-    double base_rate = 0.0;
-    double rate_at_4 = 0.0;
-    for (int threads : {1, 2, 4, 8}) {
+    // One timed run on a fresh executor: reset() drops every memo, so
+    // no run reuses another's replays.
+    const auto batch_rate = [&](int threads) {
         api::AnalysisRequest req = base;
         req.exec.numThreads = threads;
+        service.reset();
         service.adoptCalibration(req, spec, tables);
+        return timedRequest(service, req);
+    };
+    // Warm-up: on a shared VM the first second or two of multi-core
+    // load after an idle spell runs on fewer cores than it asks for (a
+    // 4-thread spin loop on a 4-vCPU cloud VM took ~1 s to reach full
+    // speed after 30 s idle), and that spell lands on the first pairs'
+    // 4-thread side, which pairing cannot cancel.
+    const auto warm_until =
+        std::chrono::steady_clock::now() +
+        std::chrono::duration<double>(kWarmupSeconds);
+    do {
+        (void)batch_rate(4);
+    } while (std::chrono::steady_clock::now() < warm_until);
 
-        const auto start = std::chrono::steady_clock::now();
-        const api::AnalysisResponse resp = service.run(req);
-        const std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - start;
+    std::vector<double> rates_1t;
+    std::vector<double> rates_4t;
+    std::vector<double> scaling_pairs;
+    for (int pair = 0; pair < kPairs; ++pair) {
+        rates_1t.push_back(batch_rate(1));
+        rates_4t.push_back(batch_rate(4));
+        scaling_pairs.push_back(rates_4t.back() / rates_1t.back());
+    }
+    const double base_rate = median(rates_1t);
 
-        int ok = 0;
-        for (const auto &r : resp.cells)
-            ok += r.ok ? 1 : 0;
-        if (ok != points) {
-            std::cerr << "batch had " << points - ok
-                      << " failing analyses\n";
-            return 1;
-        }
-
-        const double rate = points / elapsed.count();
-        if (threads == 1)
-            base_rate = rate;
-        if (threads == 4)
-            rate_at_4 = rate;
+    Table t({"threads", "analyses", "seconds", "analyses/sec",
+             "speedup vs 1T"});
+    for (int threads : {1, 2, 4, 8}) {
+        const double rate = threads == 1   ? base_rate
+                            : threads == 4 ? median(rates_4t)
+                                           : batch_rate(threads);
         t.addRow({std::to_string(threads), std::to_string(points),
-                  Table::num(elapsed.count(), 3), Table::num(rate, 1),
+                  Table::num(points / rate, 3), Table::num(rate, 1),
                   Table::num(rate / base_rate, 2) + "x"});
     }
     bench::emit(t, opts);
+    std::cout << "(1 and 4 threads: median of " << kPairs
+              << " interleaved runs; 2 and 8 threads: one run)\n";
 
-    const double scaling = rate_at_4 / base_rate;
+    const double scaling = median(scaling_pairs);
     const int hw_threads = ThreadPool::resolveThreads(0);
     std::cout << "\n4-thread scaling: " << Table::num(scaling, 2)
-              << "x on " << hw_threads
+              << "x, median of " << kPairs << " paired runs, on "
+              << hw_threads
               << " hardware threads (gate: >= 2x with >= 4 hardware "
                  "threads)\n";
     bool thread_gate_ok = scaling >= 2.0;
@@ -288,21 +340,38 @@ main(int argc, char **argv)
     std::vector<driver::KernelCase> cases;
     for (const api::KernelJob &job : grid.kernels)
         cases.push_back(api::materializeJob(job));
-    const double percell_rate = timedRun([&] {
-        return reference::runPerCell(cases, specs, grid.sweep, tables);
-    });
     // Profile sharing, cold store: N functional sims for N x M cells,
     // profiles written to disk as a side effect.
     const double cold_rate =
         timedRequest(service, policy_run(store_dir, false));
-    // Warm store after a "process restart" (reset() drops every
-    // executor and its in-memory memos): profiles load from disk,
-    // zero functional simulation.
-    service.reset();
-    const api::AnalysisRequest warm_req = policy_run(store_dir, false);
-    const double warm_rate = timedRequest(service, warm_req);
-    const uint64_t warm_hits =
-        service.executorFor(warm_req).profileStore()->hits();
+    // Gate statistic: interleaved (per-cell reference, warm store)
+    // pairs. Each warm run follows a "process restart" (reset() drops
+    // every executor and its in-memory memos), so profiles load from
+    // disk and no functional simulation runs.
+    std::vector<double> percell_rates;
+    std::vector<double> warm_rates;
+    std::vector<double> warm_pairs;
+    for (int pair = 0; pair < kPairs; ++pair) {
+        percell_rates.push_back(timedRun([&] {
+            return reference::runPerCell(cases, specs, grid.sweep,
+                                         tables);
+        }));
+        service.reset();
+        const api::AnalysisRequest warm_req =
+            policy_run(store_dir, false);
+        warm_rates.push_back(timedRequest(service, warm_req));
+        const uint64_t warm_hits =
+            service.executorFor(warm_req).profileStore()->hits();
+        if (warm_hits != grid.kernels.size()) {
+            std::cerr << "warm run loaded " << warm_hits
+                      << " profiles, expected " << grid.kernels.size()
+                      << "\n";
+            return 1;
+        }
+        warm_pairs.push_back(warm_rates.back() / percell_rates.back());
+    }
+    const double percell_rate = median(percell_rates);
+    const double warm_rate = median(warm_rates);
     // Warm result store: whole cells served from disk.
     service.reset();
     const double result_warm_rate =
@@ -319,16 +388,13 @@ main(int argc, char **argv)
     add_row("shared, warm store", warm_rate);
     add_row("warm result store", result_warm_rate);
     bench::emit(grid_table, opts);
+    std::cout << "(per-cell and warm store: median of " << kPairs
+              << " interleaved runs; cold and warm results: one run)\n";
 
-    if (warm_hits != grid.kernels.size()) {
-        std::cerr << "warm run loaded " << warm_hits
-                  << " profiles, expected " << grid.kernels.size()
-                  << "\n";
-        return 1;
-    }
-    const double share_speedup = warm_rate / percell_rate;
+    const double share_speedup = median(warm_pairs);
     std::cout << "\nwarm-store speedup: " << Table::num(share_speedup, 2)
-              << "x over the per-cell reference at " << specs.size()
+              << "x over the per-cell reference, median of " << kPairs
+              << " paired runs, at " << specs.size()
               << " spec variants (gate: >= 3x, cold "
               << Table::num(cold_rate / percell_rate, 2)
               << "x, warm results "
@@ -417,11 +483,14 @@ main(int argc, char **argv)
     // Machine-readable trajectory for CI artifacts.
     {
         std::ofstream json("bench_batch_throughput.json");
-        char buf[768];
+        char buf[1024];
         std::snprintf(
             buf, sizeof(buf),
             "{\n  \"bench\": \"batch_throughput\",\n"
-            "  \"gate\": \"%s\",\n  \"scaling_4t\": %.3f,\n"
+            "  \"gate\": \"%s\",\n  \"pairs\": %d,\n"
+            "  \"scaling_4t\": %.3f,\n  \"scaling_4t_pairs\": %s,\n"
+            "  \"warm_store_speedup\": %.3f,\n"
+            "  \"warm_store_pairs\": %s,\n"
             "  \"hardware_threads\": %d,\n  \"grid\": {\"kernels\": %zu, "
             "\"specs\": %zu},\n  \"analyses_per_sec\": "
             "{\"per_cell\": %.1f, \"shared_cold\": %.1f, "
@@ -432,7 +501,9 @@ main(int argc, char **argv)
             share_gate_ok && thread_gate_ok && stream_gate_ok
                 ? "pass"
                 : "fail",
-            scaling, hw_threads, grid.kernels.size(), specs.size(),
+            kPairs, scaling, jsonArray(scaling_pairs).c_str(),
+            share_speedup, jsonArray(warm_pairs).c_str(), hw_threads,
+            grid.kernels.size(), specs.size(),
             percell_rate, cold_rate, warm_rate, result_warm_rate,
             stream_stats.firstResultSeconds,
             stream_stats.lastCalibrationSeconds,

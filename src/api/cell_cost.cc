@@ -67,6 +67,8 @@ jobFeatures(const KernelJob &job)
         // execution with a proper message; price it as trivial.
     }
     std::lock_guard<std::mutex> lock(mutex);
+    if (cache.size() >= kMaxCachedRefFeatures && !cache.count(key))
+        cache.clear();
     cache.emplace(key, f);
     return f;
 }

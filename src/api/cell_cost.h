@@ -5,17 +5,20 @@
  *
  * Before a cell runs, no profile key exists yet, so the observation
  * key here is the cell's CONTENT (a hash of its serialized request
- * bytes): two submissions of the same work share one cost history,
- * and a re-dispatched or resubmitted job predicts from the wall times
- * its earlier runs recorded. The static fallback reads the launch
- * shape straight off the request (instruction count x resident warps
- * for inline launches; registry refs are materialized once and their
- * features cached by reference identity).
+ * bytes): two submissions of the same work share one cost history in
+ * the dispatcher's in-process cost model, and a re-dispatched or
+ * resubmitted job predicts from the wall times its earlier runs
+ * recorded. The static fallback reads the launch shape straight off
+ * the request (instruction count x resident warps for inline
+ * launches; registry refs are materialized once and their features
+ * cached by reference identity, for at most kMaxCachedRefFeatures
+ * refs before the cache starts over).
  */
 
 #ifndef GPUPERF_API_CELL_COST_H
 #define GPUPERF_API_CELL_COST_H
 
+#include <cstddef>
 #include <string>
 
 #include "api/request.h"
@@ -25,8 +28,15 @@ namespace gpuperf {
 namespace api {
 
 /**
+ * Registry refs whose features are cached; a new ref arriving at the
+ * bound clears the cache first (a ref is re-materialized on its next
+ * pricing, with the same result).
+ */
+constexpr size_t kMaxCachedRefFeatures = 4096;
+
+/**
  * The observation key of one cell request: a content hash of its
- * serialized bytes, shared across processes and resubmissions.
+ * serialized bytes, equal for every submission of the same work.
  */
 std::string cellCostKey(const AnalysisRequest &cell);
 

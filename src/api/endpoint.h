@@ -30,8 +30,9 @@
  *                      (0 = no age bound)
  *     gc-interval      server: seconds between GC sweeps
  *     json             client sends JSON requests (1/0)
- *     sched            scheduling policy: fifo | biggest-first |
- *                      sjf | fair-share (see src/sched/policy.h)
+ *     sched            server: fleet dispatcher queue order, fifo |
+ *                      biggest-first | sjf | fair-share (see
+ *                      src/sched/policy.h)
  *     client           client identity for fair-share accounting
  */
 
@@ -90,10 +91,10 @@ struct Endpoint
     bool jsonRequests = false;
 
     /**
-     * Scheduling policy for this seam: how a server's dispatcher
-     * orders pending jobs and which ready order the local executor's
-     * task graph uses. Changes
-     * execution ORDER only — responses stay bit-identical to kFifo.
+     * How a server's fleet dispatcher orders pending jobs; a request
+     * with no live worker runs locally in dependency order whatever
+     * the policy. Changes execution ORDER only — responses stay
+     * bit-identical to kFifo.
      */
     sched::SchedPolicy schedPolicy = sched::SchedPolicy::kFifo;
 

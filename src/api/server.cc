@@ -87,9 +87,6 @@ Server::Server(const std::vector<Endpoint> &endpoints)
     : opts_(serverOptionsFor(endpoints)),
       dispatcher_(service_, dispatchOptionsFor(opts_))
 {
-    // One policy drives both halves: the dispatcher's pending queue
-    // (fleet path) and the local service's task-graph ready order.
-    service_.setSchedPolicy(opts_.schedPolicy);
 }
 
 Server::~Server()

@@ -112,8 +112,9 @@ struct ServerOptions
     double gcIntervalSeconds = 300.0;
     /**
      * Scheduling policy (`?sched=`) for the dispatcher's pending
-     * queue AND the local executor's task-graph ready order.
-     * Responses stay bit-identical to kFifo under every policy.
+     * queue. A request with no live worker runs locally in
+     * dependency order whatever the policy. Responses stay
+     * bit-identical to kFifo under every policy.
      */
     sched::SchedPolicy schedPolicy = sched::SchedPolicy::kFifo;
 };

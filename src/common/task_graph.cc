@@ -16,25 +16,7 @@ TaskGraph::NodeId
 TaskGraph::add(std::string name, std::function<void()> fn,
                const std::vector<NodeId> &deps)
 {
-    return add(std::move(name), std::move(fn), deps, 0.0);
-}
-
-void
-TaskGraph::setReadyOrder(ReadyOrder order)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (running_ || finished_)
-        throw std::logic_error(
-            "TaskGraph: setReadyOrder() must precede run()");
-    readyOrder_ = order;
-}
-
-TaskGraph::NodeId
-TaskGraph::add(std::string name, std::function<void()> fn,
-               const std::vector<NodeId> &deps, double cost)
-{
     bool ready = false;
-    bool skipped = false;
     NodeId id;
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -60,7 +42,6 @@ TaskGraph::add(std::string name, std::function<void()> fn,
         Node &node = *nodes_[id];
         node.name = std::move(name);
         node.fn = std::move(fn);
-        node.cost = cost;
         std::exception_ptr cause;
         try {
             for (NodeId dep : deps) {
@@ -96,12 +77,10 @@ TaskGraph::add(std::string name, std::function<void()> fn,
             nodes_[id]->error = cause;
             nodes_[id]->fn = nullptr;
             finishOneLocked();
-            skipped = true;
         } else if (running_ && nodes_[id]->waiting == 0) {
             ready = true;
         }
     }
-    (void)skipped;
     if (ready)
         submit(id);
     return id;
@@ -135,41 +114,10 @@ TaskGraph::run()
 void
 TaskGraph::submit(NodeId id)
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        double key = 0.0;
-        switch (readyOrder_) {
-          case ReadyOrder::kInsertion:
-            break;
-          case ReadyOrder::kSmallestFirst:
-            key = nodes_[id]->cost;
-            break;
-          case ReadyOrder::kBiggestFirst:
-            key = -nodes_[id]->cost;
-            break;
-        }
-        ready_.emplace(key, readySeq_++, id);
-    }
     // The returned future is deliberately dropped: execute() catches
     // everything the body throws, so the future can never carry an
-    // exception, and completion is tracked by unfinished_. The token
-    // is generic: whichever worker picks it up runs the BEST ready
-    // node at that moment, not necessarily the one that minted it.
-    pool_.submit([this]() { runNext(); });
-}
-
-void
-TaskGraph::runNext()
-{
-    NodeId id;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        GPUPERF_ASSERT(!ready_.empty(),
-                       "task-graph token without a ready node");
-        id = std::get<2>(*ready_.begin());
-        ready_.erase(ready_.begin());
-    }
-    execute(id);
+    // exception, and completion is tracked by unfinished_.
+    pool_.submit([this, id]() { execute(id); });
 }
 
 void

@@ -11,7 +11,6 @@
 
 #include "common/logging.h"
 #include "common/task_graph.h"
-#include "sched/cost.h"
 #include "store/calibration_store.h"
 #include "store/codecs.h"
 #include "store/profile_store.h"
@@ -487,21 +486,6 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
     stats.cells = kernels.size() * specs.size();
 
     TaskGraph graph(pool_);
-    switch (options_.schedPolicy) {
-    case sched::SchedPolicy::kFifo:
-        break;
-    case sched::SchedPolicy::kBiggestFirst:
-        graph.setReadyOrder(TaskGraph::ReadyOrder::kBiggestFirst);
-        break;
-    case sched::SchedPolicy::kSjf:
-    case sched::SchedPolicy::kFairShare:
-        // The task graph has no client identity; fair-share degrades
-        // to shortest-job-first at this level.
-        graph.setReadyOrder(TaskGraph::ReadyOrder::kSmallestFirst);
-        break;
-    }
-    const bool costed_ready =
-        options_.schedPolicy != sched::SchedPolicy::kFifo;
 
     // State shared by node lambdas: the dedup maps behind the
     // dynamically created profile/timing nodes, and the serialized
@@ -771,7 +755,7 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
                 "cell:" + kc->name + "@" + spec->name,
                 [this, &graph, kc, spec, sslot, pslot, &sweep, index,
                  deliver, pkey, prep_node, ensure_profile,
-                 ensure_timing, costed_ready]() {
+                 ensure_timing]() {
                     // Exactly-once delivery even if this body throws
                     // somewhere unexpected (allocation, store I/O):
                     // an undelivered cell would surface as a silent
@@ -835,34 +819,6 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
                     auto timing = ensure_timing(tkey, kc, spec, prof);
                     auto prof_slot = prof.second;
                     auto tslot = timing.second;
-                    // Predicted analyze cost for the priority ready
-                    // orders: the observation side-channel's EWMA
-                    // wall time for this exact (profile key, timing
-                    // fingerprint), falling back to a launch-size
-                    // estimate on a cold store.
-                    double analyze_cost = 0.0;
-                    if (costed_ready) {
-                        double obs_ms = 0.0;
-                        if (timingStore_ &&
-                            timingStore_->loadObservationMs(
-                                pc->key,
-                                arch::TimingFingerprint::of(*spec),
-                                &obs_ms)) {
-                            analyze_cost = obs_ms;
-                        } else {
-                            sched::CostFeatures feat;
-                            feat.warps =
-                                static_cast<uint64_t>(
-                                    pc->key.cfg.gridDim) *
-                                ((static_cast<uint64_t>(
-                                      pc->key.cfg.blockDim) +
-                                  31) /
-                                 32);
-                            analyze_cost =
-                                sched::CostModel::staticUnits(feat) *
-                                sched::CostModel::kDefaultMsPerUnit;
-                        }
-                    }
                     // The analyze node depends on its own profile
                     // node explicitly as well as the timing node:
                     // belt and braces against any future re-keying
@@ -873,8 +829,6 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
                         [this, &graph, kc, spec, sslot, prof_slot,
                          tslot, pc, &sweep, index, deliver, rkey]() {
                             bool delivered = false;
-                            const auto a0 =
-                                std::chrono::steady_clock::now();
                             try {
                             BatchResult r = guardedCell(
                                 kc->name, spec->name,
@@ -902,33 +856,12 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
                                                   rkey, *copy);
                                           });
                             }
-                            const bool record = r.ok && timingStore_;
                             delivered = true;
                             deliver(index, std::move(r));
                             // Siblings get the profile from the
                             // shared node (or the store); megabytes
                             // of stashed input image buy nothing now.
                             pc->discardLaunch();
-                            // Feed the observation side-channel
-                            // AFTER delivery (read-modify-write disk
-                            // I/O never sits on the cell's latency
-                            // path): the next process predicts this
-                            // cell's analyze cost from measured wall
-                            // time instead of launch size.
-                            if (record) {
-                                const double analyze_ms =
-                                    std::chrono::duration<
-                                        double, std::milli>(
-                                        std::chrono::steady_clock::
-                                            now() -
-                                        a0)
-                                        .count();
-                                timingStore_->recordObservationMs(
-                                    pc->key,
-                                    arch::TimingFingerprint::of(
-                                        *spec),
-                                    analyze_ms);
-                            }
                             } catch (...) {
                                 if (!delivered) {
                                     deliver(
@@ -939,7 +872,7 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
                                 }
                             }
                         },
-                        {prof.first, timing.first}, analyze_cost);
+                        {prof.first, timing.first});
                     } catch (...) {
                         if (!delivered) {
                             deliver(index,

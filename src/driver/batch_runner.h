@@ -31,7 +31,9 @@
  *
  * No worker ever blocks on an unfinished dependency — a node is
  * scheduled only when its inputs exist, so every worker always runs
- * ready work.
+ * ready work. Ready nodes start in the order they became ready (the
+ * pool's one FIFO queue); scheduling policies (`?sched=`) order the
+ * fleet dispatcher's queue, never this graph.
  *
  * With Options::storeDir set, profiles, calibrations, timings and
  * finished results persist on disk, so repeated batch runs skip
@@ -60,7 +62,6 @@
 #include "driver/sweep.h"
 #include "funcsim/profile.h"
 #include "model/session.h"
-#include "sched/policy.h"
 #include "store/lease.h"
 #include "store/stats.h"
 
@@ -151,17 +152,6 @@ class BatchRunner
          */
         timing::ReplayEngine engine =
             timing::ReplayEngine::kEventDriven;
-        /**
-         * Order in which READY task-graph nodes are claimed by pool
-         * workers (`?sched=`): kSjf/kFairShare run cheapest-predicted
-         * analyze nodes first, kBiggestFirst the dearest. Costs come
-         * from the TimingStore's observation side-channel — EWMA wall
-         * times per (profile key, timing fingerprint) recorded by
-         * earlier runs — falling back to a static launch-size
-         * estimate. Changes scheduling only; results stay
-         * bit-identical to kFifo.
-         */
-        sched::SchedPolicy schedPolicy = sched::SchedPolicy::kFifo;
     };
 
     BatchRunner(); ///< default Options

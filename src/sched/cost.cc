@@ -57,6 +57,9 @@ CostModel::observe(const std::string &key, const CostFeatures &f,
     errorAbsSum_ += std::fabs(predicted - ms);
     ++errorSamples_;
 
+    if (it == observations_.end() &&
+        observations_.size() >= kMaxObservedKeys)
+        observations_.clear();
     Observation &obs = observations_[key];
     obs.ewmaMs = ewmaMerge(obs.ewmaMs, obs.count, ms);
     ++obs.count;

@@ -14,19 +14,19 @@
  *  - observed: an EWMA of the wall times this process has measured
  *    per observation key. The fleet dispatcher keys cells on
  *    api::cellCostKey, a hash of the request bytes, so it learns per
- *    request content, in-process only.
+ *    request content, in-process only; nothing is persisted.
  *
- * The TimingStore's persisted `.obs` side-channel keys on profile key
- * x timing fingerprint, which a request's bytes do not determine, so it
- * never feeds this model: driver::BatchRunner reads `.obs` directly,
- * and only for its non-FIFO ready orders.
+ * The per-key memory is bounded: once kMaxObservedKeys keys are held,
+ * the next new key clears them all, and every key falls back to the
+ * static estimate a never-seen key gets anyway.
  *
- * Thread-safe; one instance is shared by every scheduler in a process.
+ * Thread-safe; each fleet dispatcher owns one instance.
  */
 
 #ifndef GPUPERF_SCHED_COST_H
 #define GPUPERF_SCHED_COST_H
 
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -51,6 +51,8 @@ class CostModel
     static constexpr double kAlpha = 0.3;
     /** Default ms-per-static-unit before any observation calibrates it. */
     static constexpr double kDefaultMsPerUnit = 1e-4;
+    /** Observed keys held before a new key clears them all. */
+    static constexpr size_t kMaxObservedKeys = size_t{1} << 16;
 
     /**
      * Calibration-free static cost in abstract units. Monotone in
@@ -75,7 +77,8 @@ class CostModel
 
     /**
      * Record one measured wall time for @p key, refining both the
-     * per-key EWMA and the static-units-to-ms factor.
+     * per-key EWMA and the static-units-to-ms factor. A new key
+     * arriving at kMaxObservedKeys first clears every per-key EWMA.
      */
     void observe(const std::string &key, const CostFeatures &f,
                  double ms);

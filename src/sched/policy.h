@@ -1,10 +1,13 @@
 /**
  * @file
- * Scheduling policies and the policy-ordered pending queue shared by
- * every execution seam (task-graph ready set, fleet dispatcher).
+ * Scheduling policies and the policy-ordered pending queue of the
+ * fleet dispatcher (api/dispatch.h), the one queue a policy orders. A
+ * request that runs locally, with no live worker, runs in dependency
+ * order (common/task_graph.h) whatever the policy.
  *
  * A policy only ever changes the ORDER work is started in — never its
- * results: every consumer is pinned bit-identical to its FIFO run.
+ * results: the dispatcher is pinned bit-identical to its FIFO run
+ * (DispatchTest.EveryPolicyMatchesFifoBitExactly).
  *
  *  - kFifo          arrival order (the pre-policy behaviour; default)
  *  - kBiggestFirst  largest predicted cost first — maximizes

@@ -52,9 +52,9 @@ statIdentity(const std::string &path, uint64_t *size, int64_t *mtime)
     if (::stat(path.c_str(), &st) != 0)
         return false;
     *size = static_cast<uint64_t>(st.st_size);
-    // Nanosecond mtime: an .obs EWMA rewritten within the same second
-    // (same size, same st_mtime) must still read as "changed", or the
-    // unlink below would eat the newer merge.
+    // Nanosecond mtime: a .bench merge rewritten within the same
+    // second (same size, same st_mtime) must still read as "changed",
+    // or the unlink below would eat the newer merge.
     *mtime = static_cast<int64_t>(st.st_mtim.tv_sec) * 1000000000 +
              static_cast<int64_t>(st.st_mtim.tv_nsec);
     return true;
@@ -195,7 +195,7 @@ runCompact(const std::string &root, const CompactOptions &opts,
 
         // The fold is durable; now retire the sources. A loose file
         // whose identity changed since we read it was republished
-        // mid-fold (an .obs merge, a duplicate writer) — its fresher
+        // mid-fold (a .bench merge, a duplicate writer) — its fresher
         // loose version must keep shadowing our stale slice.
         for (const FoldedFile &f : folded) {
             const std::string path = dir + "/" + f.name;

@@ -14,7 +14,7 @@
  *   2. publish the new segment (atomic temp+rename) — from this
  *      instant readers can resolve every folded name;
  *   3. re-stat each loose file and unlink ONLY the unchanged ones —
- *      a file rewritten mid-fold (an .obs EWMA merge, a re-published
+ *      a file rewritten mid-fold (a .bench merge, a re-published
  *      entry) survives as the fresher loose version, which readers
  *      prefer over any segment slice.
  * A crash between 2 and 3 leaves duplicates (loose + slice), which

@@ -23,6 +23,7 @@ const char kCompactLeaseName[] = "compact.lease";
 
 namespace {
 
+// ".obs": written only by older builds, read by nothing, aged out by GC.
 const char *const kEntrySuffixes[] = {
     ".profile", ".calibration", ".bench", ".timing", ".obs", ".result",
 };

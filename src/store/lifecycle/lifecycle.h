@@ -8,6 +8,8 @@
  *
  * A store directory holds exactly these citizens:
  *   entries     *.profile *.calibration *.bench *.timing *.obs *.result
+ *               (*.obs only from older builds: read by nothing, aged
+ *               out by GC like any stale entry)
  *   leases      *.lease (advisory in-flight markers, store/lease.h)
  *   temps       *<anything>.tmp.<pid>.<seq> (in-flight atomic writes)
  *   segments    pack-*.seg (store/lifecycle/segment.h)

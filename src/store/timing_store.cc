@@ -1,6 +1,5 @@
 #include "store/timing_store.h"
 
-#include "sched/cost.h"
 #include "store/codecs.h"
 #include "store/lifecycle/segment.h"
 #include "store/serializer.h"
@@ -71,57 +70,6 @@ TimingStore::leaseHeld(const funcsim::ProfileKey &key,
                        const arch::TimingFingerprint &fp) const
 {
     return leaseFresh(leasePath(keyFor(key, fp)), leaseStaleAfterMs_);
-}
-
-bool
-TimingStore::recordObservationMs(const funcsim::ProfileKey &key,
-                                 const arch::TimingFingerprint &fp,
-                                 double ms) const
-{
-    const std::string key_str = keyFor(key, fp);
-    const std::string name = fileStem("obs", key_str) + ".obs";
-    double ewma = 0.0;
-    uint64_t count = 0;
-    std::string payload;
-    // Read through segments (a compacted .obs history keeps merging)
-    // but ALWAYS write loose: the atomic loose write is the
-    // last-write-wins arbiter, and the compactor folds it back in
-    // later.
-    if (readStoreEntry(dir_, name, kObservationFormatVersion, key_str,
-                       &payload, &counters_)) {
-        ByteReader r(payload);
-        std::pair<double, uint64_t> stored;
-        if (wire::decode(r, &stored) && r.atEnd())
-            std::tie(ewma, count) = stored;
-    }
-    ewma = sched::CostModel::ewmaMerge(ewma, count, ms);
-    ++count;
-    ByteWriter w;
-    wire::encode(w, std::make_pair(ewma, count));
-    return writeEntryFile(dir_ + "/" + name, kObservationFormatVersion,
-                          key_str, w.bytes(), &counters_);
-}
-
-bool
-TimingStore::loadObservationMs(const funcsim::ProfileKey &key,
-                               const arch::TimingFingerprint &fp,
-                               double *ms, uint64_t *count) const
-{
-    const std::string key_str = keyFor(key, fp);
-    std::string payload;
-    if (!readStoreEntry(dir_, fileStem("obs", key_str) + ".obs",
-                        kObservationFormatVersion, key_str, &payload,
-                        &counters_))
-        return false;
-    ByteReader r(payload);
-    std::pair<double, uint64_t> stored; // (EWMA ms, sample count)
-    if (!wire::decode(r, &stored) || !r.atEnd() || stored.second == 0)
-        return false;
-    if (ms)
-        *ms = stored.first;
-    if (count)
-        *count = stored.second;
-    return true;
 }
 
 bool

@@ -39,7 +39,6 @@
 #include "store/codecs.h"
 #include "store/result_store.h"
 #include "store/serializer.h"
-#include "store/timing_store.h"
 
 /** The largest single allocation this test binary has made. */
 static std::atomic<size_t> g_largest_alloc{0};
@@ -435,7 +434,7 @@ scratchDir(const std::string &tag)
     return dir;
 }
 
-/** The spec the .bench and .obs fixtures are keyed under. */
+/** The spec the .bench fixture is keyed under. */
 arch::GpuSpec
 storeSpec()
 {
@@ -454,22 +453,6 @@ benchPath(const std::string &dir)
     return dir + "/" + store::fileStem(storeSpec().name, benchKey()) +
            ".bench";
 }
-
-std::string
-obsKey()
-{
-    return store::TimingStore::keyFor(
-        goldenProfile().key, arch::TimingFingerprint::of(storeSpec()));
-}
-
-std::string
-obsPath(const std::string &dir)
-{
-    return dir + "/" + store::fileStem("obs", obsKey()) + ".obs";
-}
-
-/** The two observations behind obs.bin, merged by the store's EWMA. */
-constexpr double kObsMs[] = {12.5, 3.25};
 
 std::string
 payloadAt(const std::string &path, uint32_t version,
@@ -681,40 +664,6 @@ allCodecs()
         return true;
     };
     codecs.push_back(bench);
-
-    // .obs: the timing store's EWMA observation side channel.
-    Codec obs;
-    obs.file = "obs.bin";
-    obs.encode = [] {
-        const std::string dir = scratchDir("obs");
-        std::remove(obsPath(dir).c_str());
-        store::TimingStore ts(dir);
-        const auto fp = arch::TimingFingerprint::of(storeSpec());
-        for (double ms : kObsMs)
-            EXPECT_TRUE(
-                ts.recordObservationMs(goldenProfile().key, fp, ms));
-        return payloadAt(obsPath(dir),
-                         store::TimingStore::kObservationFormatVersion,
-                         obsKey());
-    };
-    obs.decode = [](const std::string &payload, std::string *out) {
-        static const std::string dir = scratchDir("obs-in");
-        store::writeEntryFile(
-            obsPath(dir), store::TimingStore::kObservationFormatVersion,
-            obsKey(), payload);
-        double ms = 0.0;
-        uint64_t count = 0;
-        if (!store::TimingStore(dir).loadObservationMs(
-                goldenProfile().key,
-                arch::TimingFingerprint::of(storeSpec()), &ms, &count))
-            return false;
-        ByteWriter w;
-        w.f64(ms);
-        w.u64(count);
-        *out = w.bytes();
-        return true;
-    };
-    codecs.push_back(obs);
 
     // Whole store entries: one with the checksum trailer, one legacy
     // entry written before the trailer existed.

@@ -5,8 +5,9 @@
  * execution, workers may join mid-request, a worker dying while
  * holding cells loses nothing (steal + re-dispatch, exactly-once
  * delivery), zero workers means graceful local execution, a
- * malformed worker is killed without ever dropping a client, and a
- * poison or failing job fails only its own cell.
+ * malformed worker is killed without ever dropping a client, a
+ * poison or failing job fails only its own cell, and every scheduling
+ * policy returns what FIFO returns.
  */
 
 #include <gtest/gtest.h>
@@ -95,7 +96,8 @@ testRequest()
  * Adopt fake tables for BOTH request shapes a fleet touches: the
  * batch shape (zero-worker fallback runs the request as-is) and the
  * single-threaded cell shape the dispatcher derives via cellRequest
- * (executors are keyed per policy, numThreads included).
+ * (executors are keyed per execution and store options, numThreads
+ * included).
  */
 void
 adoptBothShapes(AnalysisService &service, const AnalysisRequest &req)
@@ -264,6 +266,52 @@ TEST(DispatchTest, WorkersServeBitIdenticalResponses)
     EXPECT_EQ(stats.cellsCompletedRemote, 2u * want.cells.size());
     EXPECT_EQ(stats.requestsLocalFallback, 0u);
     EXPECT_EQ(stats.cellsLocal, 0u);
+}
+
+// --- Policies order the fleet queue, never results --------------------
+
+TEST(DispatchTest, EveryPolicyMatchesFifoBitExactly)
+{
+    for (const char *policy : {"biggest-first", "sjf", "fair-share"}) {
+        SCOPED_TRACE(policy);
+        FleetRig rig("sched", std::string("?sched=") + policy);
+        rig.addWorker();
+        rig.addWorker();
+        // The in-process reference runs in plain dependency order.
+        const AnalysisResponse want = rig.expected();
+
+        // Two concurrent tenants, so fair-share has clients to
+        // interleave and every policy sees a mixed queue.
+        AnalysisResponse got[2];
+        std::string failure[2];
+        std::vector<std::thread> clients;
+        for (int c = 0; c < 2; ++c) {
+            clients.emplace_back([&, c] {
+                try {
+                    AnalysisRequest req = rig.req;
+                    req.clientId = "client-" + std::to_string(c);
+                    ServeClient client = ServeClient::overUnix(rig.unixPath);
+                    got[c] = client.run(req);
+                } catch (const std::exception &e) {
+                    failure[c] = e.what();
+                }
+            });
+        }
+        for (std::thread &t : clients)
+            t.join();
+        for (int c = 0; c < 2; ++c) {
+            ASSERT_TRUE(failure[c].empty()) << failure[c];
+            expectEqual(got[c], want);
+        }
+
+        // The cells went through the policy-ordered queue, not the
+        // local fallback.
+        const DispatchStats stats = rig.server->dispatcher().stats();
+        EXPECT_STREQ(stats.schedPolicy, policy);
+        EXPECT_GT(stats.cellsDispatched, 0u);
+        EXPECT_EQ(stats.cellsCompletedRemote, 2u * want.cells.size());
+        EXPECT_EQ(stats.requestsLocalFallback, 0u);
+    }
 }
 
 // --- A worker joining mid-request picks up cells ----------------------

@@ -1,45 +1,26 @@
 /**
  * @file
- * Scheduler tests: cost-model monotonicity and EWMA refinement (in
- * process and through the TimingStore observation side-channel), the
+ * Scheduler tests: cost-model monotonicity, EWMA refinement and its
+ * bounded per-key memory, the request-side cost features, the
  * policy-ordered PendingQueue (FIFO/SJF/biggest-first plus urgent
- * drain), fair-share starvation-freedom under a flooding client, and
- * the tentpole invariant — every policy's responses bit-identical
- * (api::responsesEqual) to the FIFO run across 1..8 threads.
+ * drain) and fair-share starvation-freedom under a flooding client.
+ * That every policy's responses match the FIFO run bit for bit is
+ * pinned where a policy orders work, in tests/test_dispatch.cc.
  */
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "api/codecs.h"
-#include "api/registry.h"
+#include "api/cell_cost.h"
 #include "api/request.h"
-#include "api/service.h"
 #include "arch/gpu_spec.h"
 #include "sched/cost.h"
 #include "sched/policy.h"
-#include "store/timing_store.h"
 
 namespace gpuperf {
 namespace {
-
-std::string
-freshDir(const std::string &tag)
-{
-    static int counter = 0;
-    const std::string dir = ::testing::TempDir() + "gpuperf-sched-" +
-                            tag + "-" +
-                            std::to_string(::getpid()) + "-" +
-                            std::to_string(counter++);
-    (void)::system(("rm -rf " + dir).c_str());
-    return dir;
-}
 
 // --- Policy parsing ---------------------------------------------------
 
@@ -124,41 +105,57 @@ TEST(CostModel, EwmaMergeFirstSampleWinsThenSmooths)
                 0.3 * 100.0 + 0.7 * 50.0, 1e-12);
 }
 
-// --- TimingStore observation side-channel -----------------------------
-
-TEST(TimingStoreObservations, RecordsAndRefinesAcrossCalls)
+TEST(CostModel, ForgetsOldKeysBeyondTheBound)
 {
-    store::TimingStore store(freshDir("obs"));
-    funcsim::ProfileKey key;
-    key.kernelHash = 0x1234;
-    key.inputHash = 0x5678;
-    const arch::TimingFingerprint fp =
-        arch::TimingFingerprint::of(arch::GpuSpec::gtx285());
+    sched::CostModel model;
+    sched::CostFeatures f;
+    f.warpOps = 50;
+    f.warps = 4;
 
-    double ms = 0.0;
-    uint64_t count = 0;
-    EXPECT_FALSE(store.loadObservationMs(key, fp, &ms, &count));
+    // Fill the model to its bound: "old" first, then distinct keys.
+    model.observe("old", f, 40.0);
+    for (size_t i = 1; i < sched::CostModel::kMaxObservedKeys; ++i)
+        model.observe("k" + std::to_string(i), f, 10.0);
+    EXPECT_DOUBLE_EQ(model.estimate("old", f), 40.0);
+    // A key already held refines in place; nothing is forgotten.
+    model.observe("k1", f, 10.0);
+    EXPECT_DOUBLE_EQ(model.estimate("old", f), 40.0);
+    EXPECT_DOUBLE_EQ(model.estimate("k1", f), 10.0);
 
-    ASSERT_TRUE(store.recordObservationMs(key, fp, 100.0));
-    ASSERT_TRUE(store.loadObservationMs(key, fp, &ms, &count));
-    EXPECT_DOUBLE_EQ(ms, 100.0);
-    EXPECT_EQ(count, 1u);
+    // One new key past the bound: every earlier key falls back to the
+    // static estimate a never-seen key gets, and the new key is held.
+    model.observe("new", f, 70.0);
+    EXPECT_DOUBLE_EQ(model.estimate("new", f), 70.0);
+    EXPECT_NE(model.estimateStatic(f), 40.0);
+    EXPECT_DOUBLE_EQ(model.estimate("old", f), model.estimateStatic(f));
+    EXPECT_DOUBLE_EQ(model.estimate("k1", f), model.estimateStatic(f));
+}
 
-    // A second record merges by the model's own EWMA rule, so the
-    // store-side and in-process refinement agree to the bit.
-    ASSERT_TRUE(store.recordObservationMs(key, fp, 200.0));
-    ASSERT_TRUE(store.loadObservationMs(key, fp, &ms, &count));
-    EXPECT_NEAR(ms, sched::CostModel::ewmaMerge(100.0, 1, 200.0),
-                1e-12);
-    EXPECT_EQ(count, 2u);
+// --- Request-side cost features ---------------------------------------
 
-    // Observations are keyed per (profile key, timing fingerprint).
-    const arch::TimingFingerprint fp2 = arch::TimingFingerprint::of(
-        arch::GpuSpec::gtx285MoreBlocks());
-    EXPECT_FALSE(store.loadObservationMs(key, fp2, &ms, &count));
-    funcsim::ProfileKey other = key;
-    other.kernelHash = 0x9999;
-    EXPECT_FALSE(store.loadObservationMs(other, fp, &ms, &count));
+TEST(CellCost, RefFeaturesAreTheSameAfterTheCacheIsCleared)
+{
+    api::AnalysisRequest probe;
+    probe.kernels.push_back(api::KernelJob::fromRef(
+        "probe", api::CaseRef{"saxpy", {3, 64}, {2.0}}));
+    probe.specs.push_back(arch::GpuSpec::gtx285());
+    const sched::CostFeatures before = api::cellCostFeatures(probe);
+    EXPECT_EQ(before.warps, 6u); // 3 blocks x 2 warps
+    EXPECT_GT(before.warpOps, before.warps);
+
+    // More distinct refs than the cache holds: one of them finds it
+    // full and clears it, the probe's entry with it.
+    for (size_t i = 0; i <= api::kMaxCachedRefFeatures; ++i) {
+        api::AnalysisRequest filler;
+        filler.kernels.push_back(api::KernelJob::fromRef(
+            "filler", api::CaseRef{"saxpy", {1, 32},
+                                   {0.5 + static_cast<double>(i)}}));
+        (void)api::cellCostFeatures(filler);
+    }
+
+    const sched::CostFeatures after = api::cellCostFeatures(probe);
+    EXPECT_EQ(after.warps, before.warps);
+    EXPECT_EQ(after.warpOps, before.warpOps);
 }
 
 // --- PendingQueue policy ordering -------------------------------------
@@ -267,80 +264,6 @@ TEST(PendingQueue, FairShareNeverStarvesTheTricklingClient)
     }
     EXPECT_TRUE(sawA);
     EXPECT_TRUE(sawB);
-}
-
-// --- Policy == FIFO bit-identity through the service ------------------
-
-model::CalibrationTables
-fakeTables()
-{
-    model::CalibrationTables t;
-    t.maxWarps = 32;
-    t.bytesPerPass = 64;
-    for (int type = 0; type < arch::kNumInstrTypes; ++type) {
-        t.instrThroughput[type].assign(33, 0.0);
-        for (int w = 1; w <= 32; ++w)
-            t.instrThroughput[type][w] = 1e10 * std::min(1.0, w / 8.0);
-    }
-    t.sharedPassThroughput.assign(33, 0.0);
-    for (int w = 1; w <= 32; ++w)
-        t.sharedPassThroughput[w] = 2e10 * std::min(1.0, w / 8.0);
-    return t;
-}
-
-api::AnalysisRequest
-schedRequest(int numThreads)
-{
-    api::AnalysisRequest req;
-    req.jobName = "sched-identity";
-    req.kernels.push_back(api::KernelJob::fromRef(
-        "saxpy-small", api::CaseRef{"saxpy", {8, 128}, {2.0}}));
-    req.kernels.push_back(api::KernelJob::fromRef(
-        "conflicted",
-        api::CaseRef{"shared-conflict", {8, 128, 8, 32}, {}}));
-    req.kernels.push_back(api::KernelJob::fromRef(
-        "hist", api::CaseRef{"histogram", {6, 128, 8, 4}, {}}));
-    req.specs.push_back(arch::GpuSpec::gtx285());
-    req.specs.push_back(arch::GpuSpec::gtx285MoreBlocks());
-    req.sweep.noBankConflicts = true;
-    req.sweep.warpsPerSm = {8.0, 32.0};
-    req.sweep.coalescingFractions = {1.0};
-    req.exec.numThreads = numThreads;
-    return req;
-}
-
-TEST(SchedIdentity, EveryPolicyMatchesFifoBitExactlyAcrossThreads)
-{
-    const auto tables =
-        std::make_shared<const model::CalibrationTables>(fakeTables());
-    for (int threads = 1; threads <= 8; ++threads) {
-        const api::AnalysisRequest req = schedRequest(threads);
-
-        api::AnalysisService fifo;
-        fifo.setSchedPolicy(sched::SchedPolicy::kFifo);
-        for (const arch::GpuSpec &spec : req.specs)
-            fifo.adoptCalibration(req, spec, tables);
-        const api::AnalysisResponse want = fifo.run(req);
-        ASSERT_EQ(want.cells.size(), 6u);
-
-        for (sched::SchedPolicy p :
-             {sched::SchedPolicy::kBiggestFirst,
-              sched::SchedPolicy::kSjf,
-              sched::SchedPolicy::kFairShare}) {
-            api::AnalysisService service;
-            // Policy BEFORE adoption: the policy is part of the
-            // executor cache key, and the tables must land in the
-            // executor that will run the request.
-            service.setSchedPolicy(p);
-            for (const arch::GpuSpec &spec : req.specs)
-                service.adoptCalibration(req, spec, tables);
-            const api::AnalysisResponse got = service.run(req);
-            std::string why;
-            EXPECT_TRUE(api::responsesEqual(got, want, &why))
-                << sched::schedPolicyName(p) << " @ " << threads
-                << " threads: " << why;
-        }
-    }
 }
 
 } // namespace

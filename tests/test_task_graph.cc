@@ -3,7 +3,8 @@
  * Task-graph executor tests: dependency ordering on diamonds, per-node
  * exception capture with skip-cascade to dependents, dynamic node
  * creation from running nodes (the store-warm short-circuit mechanism
- * the batch driver relies on), and no deadlock for worker counts
+ * the batch driver relies on), ready nodes starting in the order they
+ * became ready, and no deadlock for worker counts
  * 1..8 — including the single-thread case, where any node that blocked
  * on another node would wedge the pool.
  */
@@ -122,6 +123,50 @@ TEST(TaskGraphTest, NodesCanAddNodesWhileRunning)
     const auto child_at =
         std::find(order.begin(), order.end(), "child") - order.begin();
     EXPECT_LT(fresh_at, child_at);
+}
+
+TEST(TaskGraphTest, ReadyNodesStartInTheOrderTheyBecameReady)
+{
+    // One worker: the pool's FIFO queue alone decides the start order.
+    ThreadPool pool(1);
+    std::vector<std::string> order;
+
+    // Roots start in insertion order.
+    {
+        TaskGraph graph(pool);
+        for (const char *tag : {"r0", "r1", "r2", "r3"})
+            graph.add(tag, [&order, tag]() { order.push_back(tag); });
+        graph.run();
+    }
+    EXPECT_EQ(order, (std::vector<std::string>{"r0", "r1", "r2", "r3"}));
+
+    // Behind one gate, so every node below is submitted by the worker
+    // itself and no submission races it.
+    order.clear();
+    TaskGraph graph(pool);
+    const auto gate = graph.add("gate", [&]() { order.push_back("gate"); });
+    const auto a = graph.add("a", [&]() { order.push_back("a"); }, {gate});
+    const auto b = graph.add(
+        "b",
+        [&]() {
+            order.push_back("b");
+            // Added while running: queues behind c and after-a, which
+            // are ready already, and ahead of after-b, which is not.
+            graph.add("added", [&]() { order.push_back("added"); });
+        },
+        {gate});
+    const auto c = graph.add("c", [&]() { order.push_back("c"); }, {gate});
+    // Dependents added in an order unlike their became-ready order.
+    graph.add("after-c", [&]() { order.push_back("after-c"); }, {c});
+    graph.add("after-a", [&]() { order.push_back("after-a"); }, {a});
+    graph.add("after-b", [&]() { order.push_back("after-b"); }, {b});
+    graph.add("after-a-c", [&]() { order.push_back("after-a-c"); },
+              {a, c});
+    graph.run();
+
+    EXPECT_EQ(order, (std::vector<std::string>{
+                         "gate", "a", "b", "c", "after-a", "added",
+                         "after-b", "after-c", "after-a-c"}));
 }
 
 TEST(TaskGraphTest, DynamicNodeOnFailedDependencyIsSkippedImmediately)

@@ -20,8 +20,8 @@
  *   --gc-bytes N        store GC live-byte budget        (`gc-bytes`)
  *   --gc-age SEC        store GC idle-age bound            (`gc-age`)
  *   --gc-interval SEC   server GC sweep period        (`gc-interval`)
- *   --sched POLICY      scheduling policy fifo|biggest-first|sjf|
- *                       fair-share                        (`sched`)
+ *   --sched POLICY      fleet dispatcher queue order fifo|
+ *                       biggest-first|sjf|fair-share      (`sched`)
  *   --client ID         client identity for fair-share   (`client`)
  *   --json              send JSON requests                 (`json`)
  *
