@@ -45,13 +45,16 @@
 #   --store-smoke
 #               Build, then run ONLY the store-lifecycle smoke: a cold
 #               run populates a store, one entry is deliberately
-#               bit-flipped on disk (`gpuperf-worker verify` must exit
-#               2 and quarantine it), the store is force-compacted
-#               into segment files, and a warm run over the compacted
-#               store must produce a byte-identical response; a GC
-#               dry-run and the disk-usage scan round out the admin
-#               verbs. The full (flagless) run executes this step as
-#               well; artifacts land in <build-dir>/store-smoke/.
+#               corrupted on disk and a segment file of the kind older
+#               builds compacted into is planted beside it
+#               (`gpuperf-worker verify` must exit 2 for the
+#               corruption alone, quarantine the entry and remove the
+#               segment), the backdated store is emptied by a GC after
+#               a GC dry-run that touches nothing (`stats` must then
+#               count 0 entries), and the next run must recompute a
+#               response byte-identical to the cold one. The full
+#               (flagless) run executes this step as well; artifacts
+#               land in <build-dir>/store-smoke/.
 #   build-dir   default: build (build-asan with --sanitize)
 #   build-type  Debug | Release | RelWithDebInfo | ... (default: the
 #               build dir's existing type, or CMake's default).
@@ -217,10 +220,10 @@ daemon_smoke() {
          "byte-identical to the in-process run"
 }
 
-# Store-lifecycle end-to-end: corruption is quarantined (verify exits
-# 2, then 0), compaction folds the store into segment files, and a
-# warm run over the compacted store stays byte-identical to the cold
-# run. Exercises the gc|verify|compact|stats admin verbs for real.
+# Store-lifecycle end-to-end: corruption is quarantined and a legacy
+# segment file removed (verify exits 2, then 0), GC evicts the whole
+# store, and the run after it recomputes a response byte-identical to
+# the cold run. Exercises the gc|verify|stats admin verbs for real.
 run_store_smoke() {
     local SMOKE="$BUILD_DIR/store-smoke"
     local W="$BUILD_DIR/gpuperf-worker"
@@ -231,10 +234,13 @@ run_store_smoke() {
     "$W" demo-request --out "$SMOKE/request.json" --store "$STORE"
     "$W" run "$SMOKE/request.json" --out "$SMOKE/response-cold.json"
 
-    # Corrupt a stored profile (trailing garbage breaks the entry
-    # framing): verify must exit 2 and quarantine it.
+    # Plant a segment file as older builds' compactors left them, then
+    # corrupt a stored profile (trailing garbage breaks the entry
+    # framing): verify must exit 2 for the corruption alone,
+    # quarantine the profile and remove the segment.
     local VICTIM
     VICTIM="$(ls "$STORE/profiles/"*.profile | head -n 1)"
+    cp "$VICTIM" "$STORE/profiles/pack-0000000000000000-1-0.seg"
     printf 'CORRUPTION' >> "$VICTIM"
     local RC=0
     "$W" verify --store "$STORE" > "$SMOKE/verify-corrupt.json" || RC=$?
@@ -243,39 +249,41 @@ run_store_smoke() {
         cat "$SMOKE/verify-corrupt.json" >&2
         return 1
     }
-    grep -q '"quarantined": 1' "$SMOKE/verify-corrupt.json" || {
+    grep -q '"corrupt_entries": 1,' "$SMOKE/verify-corrupt.json" &&
+        grep -q '"quarantined": 1,' "$SMOKE/verify-corrupt.json" || {
         echo "store-smoke: corrupt entry was not quarantined" >&2
+        cat "$SMOKE/verify-corrupt.json" >&2
+        return 1
+    }
+    grep -q '"legacy_segments": 1,' "$SMOKE/verify-corrupt.json" &&
+        [[ ! -e "$STORE/profiles/pack-0000000000000000-1-0.seg" ]] || {
+        echo "store-smoke: legacy segment file was not removed" >&2
         cat "$SMOKE/verify-corrupt.json" >&2
         return 1
     }
     "$W" verify --store "$STORE" > "$SMOKE/verify-clean.json"
 
-    # Fold everything into segment files; the loose entries vanish
-    # but a warm run must stay byte-identical to the cold one (the
-    # quarantined profile is simply recomputed). Entries younger than
-    # the compactor's min-age guard stay loose, so backdate the
-    # just-written store first.
+    # Evict everything: backdate the store past GC's min-age guard,
+    # check a dry run reports without touching a file, then GC to a
+    # 1-byte budget. The next run recomputes every cell (the demo
+    # spec recalibrates in seconds) and must match the cold run.
     find "$STORE" -type f -exec touch -t 202001010000 {} +
-    # A typo'd threshold is a usage error, never a silent default.
-    if "$W" compact --store "$STORE" --min-loose abc 2>/dev/null; then
-        echo "store-smoke: compact --min-loose abc exited 0" >&2
-        return 1
-    fi
-    "$W" compact --store "$STORE" --force --min-loose 1 \
-        > "$SMOKE/compact.json"
+    find "$STORE" -type f | sort > "$SMOKE/files-before-dry-run.txt"
+    "$W" gc --store "$STORE" --gc-bytes 1 --dry-run \
+        > "$SMOKE/gc-dry-run.json"
+    find "$STORE" -type f | sort > "$SMOKE/files-after-dry-run.txt"
+    diff "$SMOKE/files-before-dry-run.txt" "$SMOKE/files-after-dry-run.txt"
+    "$W" gc --store "$STORE" --gc-bytes 1 > "$SMOKE/gc.json"
     "$W" stats --store "$STORE" > "$SMOKE/stats.json"
-    grep -q '"segment_files": [1-9]' "$SMOKE/stats.json" || {
-        echo "store-smoke: compaction produced no segment files" >&2
-        cat "$SMOKE/compact.json" "$SMOKE/stats.json" >&2
+    grep -q '^  "entries": 0,$' "$SMOKE/stats.json" || {
+        echo "store-smoke: GC left entries behind" >&2
+        cat "$SMOKE/gc.json" "$SMOKE/stats.json" >&2
         return 1
     }
-    "$W" run "$SMOKE/request.json" --out "$SMOKE/response-warm.json"
-    diff "$SMOKE/response-cold.json" "$SMOKE/response-warm.json"
-
-    # GC dry-run over the compacted store reports without touching.
-    "$W" gc --store "$STORE" --gc-bytes 1 --dry-run > "$SMOKE/gc.json"
-    grep -q '"ok": true' "$SMOKE/gc.json"
-    echo "store-smoke: corruption quarantined, compacted warm run byte-identical"
+    "$W" run "$SMOKE/request.json" --out "$SMOKE/response-after-gc.json"
+    diff "$SMOKE/response-cold.json" "$SMOKE/response-after-gc.json"
+    echo "store-smoke: corruption quarantined, legacy segment removed," \
+         "run after GC byte-identical"
 }
 
 # The four end-to-end smokes by name (the --NAME-smoke flags).

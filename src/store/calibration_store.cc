@@ -1,7 +1,7 @@
 #include "store/calibration_store.h"
 
 #include "store/codecs.h"
-#include "store/lifecycle/segment.h"
+#include "store/lifecycle/lifecycle.h"
 #include "store/serializer.h"
 
 namespace gpuperf {

@@ -3,15 +3,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "store/lease.h"
 #include "store/lifecycle/lifecycle.h"
-#include "store/lifecycle/segment.h"
 
 namespace gpuperf {
 namespace store {
@@ -26,15 +25,13 @@ wallClockMs()
         .count();
 }
 
-/** One evictable entry, loose or segment-resident. */
+/** One evictable entry file. */
 struct Candidate
 {
     std::string sub;  ///< store subdirectory (e.g. "profiles")
     std::string name; ///< entry filename
     uint64_t bytes = 0;
     int64_t lastMs = 0;
-    bool loose = false;
-    bool inSegment = false;
 };
 
 void
@@ -93,8 +90,6 @@ runGc(const std::string &root, const GcOptions &opts,
         const std::string dir = root + "/" + sub;
         std::map<std::string, int64_t> access;
         loadAccessIndex(dir, &access);
-        std::set<std::string> loose_names;
-        std::vector<Candidate> dir_candidates;
         for (const std::string &name : listDirFiles(dir)) {
             if (!isEntryFileName(name))
                 continue;
@@ -103,46 +98,6 @@ runGc(const std::string &root, const GcOptions &opts,
             c.name = name;
             c.bytes = fileSizeOf(dir + "/" + name);
             c.lastMs = fileMtimeMs(dir + "/" + name);
-            c.loose = true;
-            loose_names.insert(name);
-            dir_candidates.push_back(std::move(c));
-        }
-        for (const std::string &seg : listSegmentFiles(dir)) {
-            std::vector<SegmentEntry> index;
-            if (!readSegmentIndex(dir + "/" + seg, &index))
-                continue;
-            const int64_t seg_mtime = fileMtimeMs(dir + "/" + seg);
-            for (const SegmentEntry &e : index) {
-                if (loose_names.count(e.name)) {
-                    // Shadowed slice: the loose candidate already
-                    // represents this name; mark it segment-resident
-                    // so eviction also drops the stale slice.
-                    for (Candidate &c : dir_candidates)
-                        if (c.name == e.name)
-                            c.inSegment = true;
-                    continue;
-                }
-                bool merged = false;
-                for (Candidate &c : dir_candidates) {
-                    if (c.name == e.name) {
-                        c.inSegment = true;
-                        c.bytes += e.length;
-                        merged = true;
-                        break;
-                    }
-                }
-                if (merged)
-                    continue;
-                Candidate c;
-                c.sub = sub;
-                c.name = e.name;
-                c.bytes = e.length;
-                c.lastMs = seg_mtime;
-                c.inSegment = true;
-                dir_candidates.push_back(std::move(c));
-            }
-        }
-        for (Candidate &c : dir_candidates) {
             auto it = access.find(c.name);
             if (it != access.end() && it->second > c.lastMs)
                 c.lastMs = it->second;
@@ -202,15 +157,16 @@ runGc(const std::string &root, const GcOptions &opts,
         return report;
     }
 
-    // Apply per directory under the compact lease, so a GC never
-    // rewrites segments out from under a running compactor (or
-    // another GC). A busy directory keeps its victims this sweep.
+    // Apply per directory under the janitor lease, so two GCs (or
+    // this GC and an older build's compactor) never sweep one
+    // directory at once. A busy directory keeps its victims this
+    // sweep.
     std::map<std::string, std::vector<Candidate>> by_dir;
     for (Candidate &c : victims)
         by_dir[c.sub].push_back(std::move(c));
     for (auto &e : by_dir) {
         const std::string dir = root + "/" + e.first;
-        Lease janitor = tryAcquireLease(dir + "/" + kCompactLeaseName,
+        Lease janitor = tryAcquireLease(dir + "/" + kJanitorLeaseName,
                                         kLeaseStaleAfterMsDefault,
                                         counters);
         if (!janitor.held()) {
@@ -221,18 +177,12 @@ runGc(const std::string &root, const GcOptions &opts,
             }
             continue;
         }
-        std::vector<std::string> drop_from_segments;
-        for (const Candidate &c : e.second) {
-            if (c.loose)
-                ::unlink((dir + "/" + c.name).c_str());
-            if (c.inSegment)
-                drop_from_segments.push_back(c.name);
-        }
-        if (!drop_from_segments.empty() &&
-            !rewriteSegmentsDropping(dir, drop_from_segments, nullptr,
-                                     counters))
-            report.ok = false;
-        invalidateSegmentCatalog(dir);
+        // A victim already gone (a concurrent verify quarantined
+        // it) is evicted all the same.
+        for (const Candidate &c : e.second)
+            if (::unlink((dir + "/" + c.name).c_str()) != 0 &&
+                errno != ENOENT)
+                report.ok = false;
     }
     report.liveBytesAfter =
         report.liveBytesBefore - report.evictedBytes;

@@ -10,9 +10,9 @@
  * the next sweep; an evicted entry is always recomputable by
  * construction, so GC can never lose data, only warmth.
  *
- * One GC (or compactor — they share the per-directory compact lease)
- * runs against a directory at a time; a second janitor skips it and
- * reports rather than waits.
+ * One GC runs against a directory at a time (the per-directory
+ * janitor lease, lifecycle.h); a second janitor skips it and reports
+ * rather than waits.
  */
 
 #ifndef GPUPERF_STORE_LIFECYCLE_GC_H

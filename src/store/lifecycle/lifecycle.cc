@@ -9,9 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <mutex>
-#include <set>
 
-#include "store/lifecycle/segment.h"
 #include "store/serializer.h"
 
 namespace gpuperf {
@@ -19,7 +17,7 @@ namespace store {
 
 const char kAccessIndexName[] = "access.idx";
 const char kQuarantineDirName[] = "quarantine";
-const char kCompactLeaseName[] = "compact.lease";
+const char kJanitorLeaseName[] = "compact.lease";
 
 namespace {
 
@@ -81,7 +79,10 @@ loadAccessIndexFile(const std::string &dir,
  * The process-wide touch buffer. One mutexed map insert per store
  * read; the disk write happens every kAccessFlushEvery touches per
  * directory (and on flushAccessIndexes()), merge-max against the
- * sidecar so concurrent processes never regress a timestamp.
+ * sidecar so concurrent processes never regress a timestamp. Flushes
+ * hold flushMu_ from taking the pending touches to the rename: two
+ * unserialized flushes of one directory would share a temp name and
+ * each rewrite the sidecar without the other's touches.
  */
 class AccessTracker
 {
@@ -104,12 +105,17 @@ class AccessTracker
                 flush_dir = dir;
             }
         }
-        if (!flush_dir.empty())
+        if (!flush_dir.empty()) {
+            std::lock_guard<std::mutex> flush(flushMu_);
             flushDir(flush_dir);
+        }
     }
 
     void flushAll()
     {
+        // Taken first, so a flush already in flight lands before the
+        // caller (GC) reads the sidecars.
+        std::lock_guard<std::mutex> flush(flushMu_);
         std::vector<std::string> dirs;
         {
             std::lock_guard<std::mutex> lock(mu_);
@@ -142,6 +148,7 @@ class AccessTracker
         size_t sinceFlush = 0;
     };
 
+    /** The load-merge-write-rename; the caller holds flushMu_. */
     void flushDir(const std::string &dir)
     {
         std::map<std::string, int64_t> pending;
@@ -182,6 +189,7 @@ class AccessTracker
             std::remove(tmp.c_str());
     }
 
+    std::mutex flushMu_; ///< taken before mu_, never after
     std::mutex mu_;
     std::map<std::string, Buffer> buffers_;
 };
@@ -279,6 +287,29 @@ fileMtimeMs(const std::string &path)
     return static_cast<int64_t>(st.st_mtime) * 1000;
 }
 
+bool
+readStoreEntry(const std::string &dir, const std::string &name,
+               uint32_t version, const std::string &key,
+               std::string *payload, StoreCounters *counters)
+{
+    if (!readEntryFile(dir + "/" + name, version, key, payload,
+                       counters))
+        return false;
+    recordAccess(dir, name);
+    return true;
+}
+
+bool
+storeEntryExists(const std::string &dir, const std::string &name,
+                 uint32_t version, const std::string &key,
+                 StoreCounters *counters)
+{
+    if (!readEntryHeader(dir + "/" + name, version, key, counters))
+        return false;
+    recordAccess(dir, name);
+    return true;
+}
+
 void
 recordAccess(const std::string &dir, const std::string &name)
 {
@@ -304,7 +335,7 @@ StoreUsage::entries() const
 {
     uint64_t n = 0;
     for (const auto &e : dirs)
-        n += e.second.entries();
+        n += e.second.entries;
     return n;
 }
 
@@ -313,7 +344,7 @@ StoreUsage::liveBytes() const
 {
     uint64_t n = 0;
     for (const auto &e : dirs)
-        n += e.second.liveBytes();
+        n += e.second.liveBytes;
     return n;
 }
 
@@ -342,30 +373,14 @@ scanStoreUsage(const std::string &root)
     for (const std::string &sub : listStoreSubdirs(root)) {
         const std::string dir = root + "/" + sub;
         DirUsage du;
-        std::set<std::string> loose_names;
         for (const std::string &name : listDirFiles(dir)) {
-            const std::string path = dir + "/" + name;
             if (isTempFileName(name)) {
                 ++du.tempFiles;
             } else if (isLeaseFileName(name)) {
                 ++du.leases;
-            } else if (hasSuffix(name, kSegmentSuffix)) {
-                ++du.segmentFiles;
             } else if (isEntryFileName(name)) {
-                ++du.looseEntries;
-                du.looseBytes += fileSizeOf(path);
-                loose_names.insert(name);
-            }
-        }
-        for (const std::string &seg : listSegmentFiles(dir)) {
-            std::vector<SegmentEntry> index;
-            if (!readSegmentIndex(dir + "/" + seg, &index))
-                continue;
-            for (const SegmentEntry &e : index) {
-                if (loose_names.count(e.name))
-                    continue; // shadowed by a fresher loose write
-                ++du.segmentEntries;
-                du.segmentBytes += e.length;
+                ++du.entries;
+                du.liveBytes += fileSizeOf(dir + "/" + name);
             }
         }
         for (const std::string &name :
@@ -394,14 +409,8 @@ std::string
 dirUsageJson(const DirUsage &du, const std::string &indent)
 {
     std::string out = "{\n";
-    appendUsageField(&out, indent, "entries", du.entries(), false);
-    appendUsageField(&out, indent, "live_bytes", du.liveBytes(), false);
-    appendUsageField(&out, indent, "loose_entries", du.looseEntries,
-                     false);
-    appendUsageField(&out, indent, "segment_files", du.segmentFiles,
-                     false);
-    appendUsageField(&out, indent, "segment_entries",
-                     du.segmentEntries, false);
+    appendUsageField(&out, indent, "entries", du.entries, false);
+    appendUsageField(&out, indent, "live_bytes", du.liveBytes, false);
     appendUsageField(&out, indent, "leases", du.leases, false);
     appendUsageField(&out, indent, "temp_files", du.tempFiles, false);
     appendUsageField(&out, indent, "quarantined", du.quarantined,

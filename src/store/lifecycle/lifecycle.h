@@ -1,10 +1,11 @@
 /**
  * @file
  * Shared scaffolding for the store lifecycle subsystem (GC, verify,
- * compaction, usage telemetry): what KIND of file each name in a
- * store directory is, which subdirectories a store root owns, the
- * last-access sidecar index the GC's LRU runs on, and the disk-side
- * usage scan that complements the process-side StoreCounters.
+ * usage telemetry): what KIND of file each name in a store directory
+ * is, which subdirectories a store root owns, the read helpers every
+ * store goes through, the last-access sidecar index the GC's LRU runs
+ * on, and the disk-side usage scan that complements the process-side
+ * StoreCounters.
  *
  * A store directory holds exactly these citizens:
  *   entries     *.profile *.calibration *.bench *.timing *.obs *.result
@@ -12,10 +13,13 @@
  *               out by GC like any stale entry)
  *   leases      *.lease (advisory in-flight markers, store/lease.h)
  *   temps       *<anything>.tmp.<pid>.<seq> (in-flight atomic writes)
- *   segments    pack-*.seg (store/lifecycle/segment.h)
  *   sidecar     access.idx (last-access index, this file)
- *   janitor     compact.lease (one compactor/GC per dir at a time)
+ *   janitor     compact.lease (one GC per dir at a time)
  *   quarantine/ corrupt entries the Verifier moved aside
+ *
+ * Every entry is one file; a store read is one file open. Stores from
+ * older builds may also hold pack-*.seg segment files: nothing reads
+ * them, and the Verifier removes them.
  */
 
 #ifndef GPUPERF_STORE_LIFECYCLE_LIFECYCLE_H
@@ -26,18 +30,25 @@
 #include <string>
 #include <vector>
 
+#include "store/stats.h"
+
 namespace gpuperf {
 namespace store {
 
 extern const char kAccessIndexName[];   // "access.idx"
 extern const char kQuarantineDirName[]; // "quarantine"
-extern const char kCompactLeaseName[];  // "compact.lease"
+/**
+ * The per-directory janitor lease GC holds while it evicts. Older
+ * builds' compactors take the same file, so a store shared with one
+ * still runs one janitor per directory at a time.
+ */
+extern const char kJanitorLeaseName[];  // "compact.lease"
 
 /** True for the entry suffixes every store writes. */
 bool isEntryFileName(const std::string &name);
 /** True for in-flight atomic-write temp files (".tmp." infix). */
 bool isTempFileName(const std::string &name);
-/** True for lease markers (entry leases and the compact lease). */
+/** True for lease markers (entry leases and the janitor lease). */
 bool isLeaseFileName(const std::string &name);
 
 /**
@@ -58,15 +69,40 @@ uint64_t fileSizeOf(const std::string &path);
 /** st_mtime of @p path in ms since epoch, or 0. */
 int64_t fileMtimeMs(const std::string &path);
 
+// --- Store reads ------------------------------------------------------
+//
+// The two calls every store uses in place of bare readEntryFile /
+// readEntryHeader: the same read, plus recordAccess() on a hit so
+// the GC's LRU sees it.
+
+/**
+ * readEntryFile() of @p dir/@p name, recording the access on a hit.
+ * Validates version, key echo and checksum.
+ */
+bool readStoreEntry(const std::string &dir, const std::string &name,
+                    uint32_t version, const std::string &key,
+                    std::string *payload,
+                    StoreCounters *counters = nullptr);
+
+/**
+ * readEntryHeader() of @p dir/@p name, recording the access on a
+ * hit: true iff a valid entry for @p key exists.
+ */
+bool storeEntryExists(const std::string &dir, const std::string &name,
+                      uint32_t version, const std::string &key,
+                      StoreCounters *counters = nullptr);
+
 // --- Last-access sidecar ----------------------------------------------
 //
 // The GC's LRU order. Touches are buffered in memory by a
 // process-wide tracker (the read path pays one mutexed map insert,
 // no I/O) and folded into dir/access.idx every few hundred touches
 // and on demand — merge-max against whatever is on disk, so
-// concurrent processes only ever advance a timestamp. An entry absent
-// from the index falls back to its file mtime, so a lost flush costs
-// recency precision, never correctness.
+// concurrent processes only ever advance a timestamp. Within one
+// process the flushes run one at a time, so each sees the last one's
+// touches. An entry absent from the index falls back to its file
+// mtime, so a flush lost across processes costs recency precision,
+// never correctness.
 
 /** Buffer "this process read @p name in @p dir just now". */
 void recordAccess(const std::string &dir, const std::string &name);
@@ -87,17 +123,11 @@ void loadAccessIndex(const std::string &dir,
 /** What a scan of one store subdirectory found. */
 struct DirUsage
 {
-    uint64_t looseEntries = 0;
-    uint64_t looseBytes = 0;
-    uint64_t segmentFiles = 0;
-    uint64_t segmentEntries = 0; ///< live (un-shadowed) slices
-    uint64_t segmentBytes = 0;   ///< bytes of those live slices
+    uint64_t entries = 0;
+    uint64_t liveBytes = 0;
     uint64_t leases = 0;
     uint64_t tempFiles = 0;
     uint64_t quarantined = 0;
-
-    uint64_t entries() const { return looseEntries + segmentEntries; }
-    uint64_t liveBytes() const { return looseBytes + segmentBytes; }
 };
 
 /** The whole store root, by subdirectory. */

@@ -6,11 +6,8 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <vector>
 
-#include "common/logging.h"
 #include "store/lifecycle/lifecycle.h"
-#include "store/lifecycle/segment.h"
 #include "store/serializer.h"
 
 namespace gpuperf {
@@ -24,6 +21,17 @@ wallClockMs()
     return std::chrono::duration_cast<std::chrono::milliseconds>(
                std::chrono::system_clock::now().time_since_epoch())
         .count();
+}
+
+/** A segment file an older build's compactor wrote (pack-*.seg). */
+bool
+isLegacySegmentName(const std::string &name)
+{
+    static const std::string kPrefix = "pack-", kSuffix = ".seg";
+    return name.size() >= kPrefix.size() + kSuffix.size() &&
+           name.compare(0, kPrefix.size(), kPrefix) == 0 &&
+           name.compare(name.size() - kSuffix.size(), kSuffix.size(),
+                        kSuffix) == 0;
 }
 
 bool
@@ -100,9 +108,7 @@ VerifyReport::json(const std::string &indent) const
     appendJsonField(&out, indent, "corrupt_entries", corruptEntries,
                     false);
     appendJsonField(&out, indent, "quarantined", quarantined, false);
-    appendJsonField(&out, indent, "corrupt_segments", corruptSegments,
-                    false);
-    appendJsonField(&out, indent, "corrupt_slices", corruptSlices,
+    appendJsonField(&out, indent, "legacy_segments", legacySegments,
                     false);
     appendJsonField(&out, indent, "stale_leases", staleLeases, false);
     appendJsonField(&out, indent, "stale_temps", staleTemps, false);
@@ -123,7 +129,7 @@ runVerify(const std::string &root, const VerifyOptions &opts,
     for (const std::string &sub : listStoreSubdirs(root)) {
         const std::string dir = root + "/" + sub;
 
-        // Loose entries, debris and markers in one directory walk.
+        // Entries, debris and markers in one directory walk.
         for (const std::string &name : listDirFiles(dir)) {
             const std::string path = dir + "/" + name;
             if (isTempFileName(name)) {
@@ -147,6 +153,13 @@ runVerify(const std::string &root, const VerifyOptions &opts,
                 }
                 continue;
             }
+            if (isLegacySegmentName(name)) {
+                ++report.legacySegments;
+                if (opts.fix && ::unlink(path.c_str()) != 0 &&
+                    errno != ENOENT)
+                    report.ok = false;
+                continue;
+            }
             if (!isEntryFileName(name))
                 continue;
             ++report.scannedEntries;
@@ -165,54 +178,6 @@ runVerify(const std::string &root, const VerifyOptions &opts,
             else
                 report.ok = false;
         }
-
-        // Segments: a torn index condemns the file; a corrupt slice
-        // only itself. Rewrites happen under the compact lease so a
-        // live compactor/GC is never raced.
-        std::vector<std::string> drop_slices;
-        for (const std::string &seg : listSegmentFiles(dir)) {
-            const std::string seg_path = dir + "/" + seg;
-            std::vector<SegmentEntry> index;
-            if (!readSegmentIndex(seg_path, &index)) {
-                ++report.corruptSegments;
-                if (opts.fix) {
-                    if (quarantineFile(dir, seg))
-                        ++report.quarantined;
-                    else
-                        report.ok = false;
-                }
-                continue;
-            }
-            for (const SegmentEntry &e : index) {
-                ++report.scannedEntries;
-                std::string blob;
-                if (readSegmentSlice(seg_path, e.offset, e.length,
-                                     &blob)) {
-                    report.scannedBytes += blob.size();
-                    if (counters)
-                        counters->read(blob.size());
-                    if (entryBlobValid(blob))
-                        continue;
-                }
-                ++report.corruptSlices;
-                drop_slices.push_back(e.name);
-            }
-        }
-        if (opts.fix && !drop_slices.empty()) {
-            Lease janitor =
-                tryAcquireLease(dir + "/" + kCompactLeaseName,
-                                kLeaseStaleAfterMsDefault, counters);
-            if (janitor.held()) {
-                if (!rewriteSegmentsDropping(dir, drop_slices,
-                                             nullptr, counters))
-                    report.ok = false;
-            } else {
-                // Busy directory: the slices stay (readers already
-                // treat them as misses); the next verify gets them.
-                report.ok = false;
-            }
-        }
-        invalidateSegmentCatalog(dir);
     }
     return report;
 }

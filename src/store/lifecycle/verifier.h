@@ -1,18 +1,19 @@
 /**
  * @file
- * Integrity scan for a store root. Walks every loose entry and every
- * segment slice, re-validating the full entry framing (magic,
- * internal lengths, checksum trailer when present — entries from
- * before the trailer existed get the structural checks only), and:
+ * Integrity scan for a store root. Walks every entry file,
+ * re-validating the full entry framing (magic, internal lengths,
+ * checksum trailer when present — entries from before the trailer
+ * existed get the structural checks only), and:
  *
- *  - QUARANTINES corrupt loose entries into <dir>/quarantine/ —
- *    readers already treat them as misses; moving them aside keeps
- *    the evidence for a post-mortem without the scan cost forever;
- *  - rewrites segments minus their corrupt slices (a torn segment
- *    whose index will not parse is quarantined whole);
+ *  - QUARANTINES corrupt entries into <dir>/quarantine/ — readers
+ *    already treat them as misses; moving them aside keeps the
+ *    evidence for a post-mortem without the scan cost forever;
  *  - sweeps stale lease markers (holder dead or past the staleness
  *    threshold) and orphaned atomic-write temp files older than the
- *    stale age — the debris a crashed writer leaves behind.
+ *    stale age — the debris a crashed writer leaves behind;
+ *  - removes legacy pack-*.seg segment files, which older builds'
+ *    compactors wrote and nothing reads any more. They are not
+ *    corruption: their entries simply miss and are recomputed.
  *
  * Verify never deletes a valid entry and never blocks a live store:
  * in-flight leases and young temps are left exactly as found.
@@ -32,7 +33,10 @@ namespace store {
 
 struct VerifyOptions
 {
-    /** Move corrupt entries aside and sweep debris (false = report only). */
+    /**
+     * Move corrupt entries aside, sweep debris and remove legacy
+     * segments (false = report only).
+     */
     bool fix = true;
     /** Temp files older than this are orphans from a dead writer. */
     int64_t tempStaleMs = kLeaseStaleAfterMsDefault;
@@ -44,20 +48,15 @@ struct VerifyReport
 {
     uint64_t scannedEntries = 0;
     uint64_t scannedBytes = 0;
-    uint64_t corruptEntries = 0;   ///< loose entries that failed validation
+    uint64_t corruptEntries = 0;   ///< entries that failed validation
     uint64_t quarantined = 0;      ///< moved into quarantine/ (fix mode)
-    uint64_t corruptSegments = 0;  ///< segments whose index failed
-    uint64_t corruptSlices = 0;    ///< slices dropped from segments
+    uint64_t legacySegments = 0;   ///< pack-*.seg files (removed in fix mode)
     uint64_t staleLeases = 0;      ///< lease markers swept
     uint64_t staleTemps = 0;       ///< orphaned temp files reaped
     bool ok = true;                ///< false: a fix failed to apply
 
     /** True when the store is clean (nothing corrupt found). */
-    bool clean() const
-    {
-        return corruptEntries == 0 && corruptSegments == 0 &&
-               corruptSlices == 0;
-    }
+    bool clean() const { return corruptEntries == 0; }
 
     /** Deterministic JSON (keys in declaration order). */
     std::string json(const std::string &indent = "") const;

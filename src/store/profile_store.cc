@@ -1,7 +1,7 @@
 #include "store/profile_store.h"
 
 #include "store/codecs.h"
-#include "store/lifecycle/segment.h"
+#include "store/lifecycle/lifecycle.h"
 #include "store/serializer.h"
 
 namespace gpuperf {

@@ -136,19 +136,17 @@ bool readEntryHeader(const std::string &path, uint32_t version,
 
 /**
  * Encode one entry (header + payload + checksum trailer) as the exact
- * bytes writeEntryFile() would put on disk. Segment files concatenate
- * these blobs verbatim, so a segment read is byte-identical to a
- * loose-file read.
+ * bytes writeEntryFile() puts on disk.
  */
 std::string encodeEntryBlob(uint32_t version, const std::string &key,
                             const std::string &payload);
 
 /**
- * Parse one entry blob (a whole loose file or a segment slice)
- * without knowing its key in advance: validates magic, @p version,
- * internal lengths, and the checksum trailer when present, and
- * returns the stored key and payload. The primitive behind
- * readEntryFile(), segment read-through, and the Verifier scan.
+ * Parse one entry blob (a whole entry file) without knowing its key
+ * in advance: validates magic, @p version, internal lengths, and the
+ * checksum trailer when present, and returns the stored key and
+ * payload. The primitive behind readEntryFile() and the Verifier
+ * scan.
  */
 bool parseEntryBlob(const std::string &blob, uint32_t version,
                     std::string *key, std::string *payload);

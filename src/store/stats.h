@@ -10,8 +10,8 @@
  *
  * Counters are process-local (each process counts what IT did to the
  * shared store); the disk-side complement — entry counts, live bytes,
- * segment/quarantine populations — comes from scanning the store root
- * (store/lifecycle/lifecycle.h, StoreUsage).
+ * lease/temp/quarantine populations — comes from scanning the store
+ * root (store/lifecycle/lifecycle.h, StoreUsage).
  */
 
 #ifndef GPUPERF_STORE_STATS_H

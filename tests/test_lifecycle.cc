@@ -2,12 +2,13 @@
  * @file
  * Store lifecycle tests (src/store/lifecycle/): corrupt entries read
  * as misses and are quarantined by the verifier, never crash a
- * reader; GC evicts to its size/age budget in LRU order without ever
- * touching a leased or in-flight entry; compaction folds loose
- * entries into segments that every store reads through transparently
- * (warm runs over a compacted store stay bit-identical); and the
- * janitors (GC + compactor + verifier) racing a live batch leave its
- * response bit-identical to an undisturbed run.
+ * reader; segment files older builds compacted into are read by
+ * nothing and removed by the verifier; GC evicts to its size/age
+ * budget in LRU order without ever touching a leased or in-flight
+ * entry, on an access index that concurrent flushes never thin out;
+ * the janitors (GC + verifier) racing a live batch leave its response
+ * bit-identical to an undisturbed run; and the admin reports keep
+ * their keys.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include <ctime>
 #include <fstream>
 #include <map>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,14 +34,11 @@
 #include "api/request.h"
 #include "api/server.h"
 #include "api/service.h"
-#include "driver/demo_cases.h"
+#include "common/fnv.h"
 #include "model/session.h"
-#include "store/lifecycle/compactor.h"
 #include "store/lifecycle/gc.h"
 #include "store/lifecycle/lifecycle.h"
-#include "store/lifecycle/segment.h"
 #include "store/lifecycle/verifier.h"
-#include "store/profile_store.h"
 #include "store/serializer.h"
 #include "store/stats.h"
 
@@ -132,7 +131,9 @@ TEST(Lifecycle, ClassifiesEveryStoreCitizen)
     EXPECT_FALSE(store::isTempFileName("a.profile"));
 
     EXPECT_TRUE(store::isLeaseFileName("a.lease"));
-    EXPECT_TRUE(store::isLeaseFileName("compact.lease"));
+    EXPECT_STREQ(store::kJanitorLeaseName, "compact.lease")
+        << "older builds' compactors take this name: GC must too";
+    EXPECT_TRUE(store::isLeaseFileName(store::kJanitorLeaseName));
     EXPECT_EQ(store::leaseNameFor("saxpy-0123.profile"),
               "saxpy-0123.lease");
     EXPECT_EQ(store::leaseNameFor("ewma-0123.obs"), "ewma-0123.lease");
@@ -271,6 +272,80 @@ TEST(Verifier, SweepsStaleTempsAndLeasesButSparesFreshOnes)
     EXPECT_TRUE(fileExists(dir + "/fresh.lease"));
 }
 
+/**
+ * A segment file as older builds' compactors wrote it: the entry
+ * blobs back to back, an index (u32 count; per slice str name, u64
+ * offset, u64 length), then a 32-byte footer (u64 index offset, u64
+ * index length, u64 fnv1a64 of the index, u64 segment magic).
+ */
+std::string
+legacySegmentBytes(const std::string &name, const std::string &blob)
+{
+    store::ByteWriter index;
+    index.u32(1);
+    index.str(name);
+    index.u64(0);
+    index.u64(blob.size());
+    store::ByteWriter footer;
+    footer.u64(blob.size());
+    footer.u64(index.bytes().size());
+    footer.u64(fnv1a64(index.bytes()));
+    footer.u64(0x47465245'50555047ull);
+    return blob + index.bytes() + footer.bytes();
+}
+
+TEST(Verifier, RemovesLegacySegmentFilesAndNothingReadsThem)
+{
+    std::vector<std::string> names;
+    const std::string root =
+        syntheticRoot("legacy-seg", 3, 200, &names);
+    const std::string dir = root + "/profiles";
+
+    // An older build folded "folded.profile" into a segment and
+    // unlinked the loose file: the name now exists only in there.
+    const std::string folded = "folded.profile";
+    ASSERT_TRUE(store::writeEntryFile(dir + "/" + folded, kTestVersion,
+                                      "folded-key", "folded payload"));
+    const std::string seg = dir + "/pack-0000018f2a6b3c00-42-0.seg";
+    ASSERT_TRUE(writeWhole(
+        seg, legacySegmentBytes(folded, readWhole(dir + "/" + folded))));
+    ASSERT_EQ(::unlink((dir + "/" + folded).c_str()), 0);
+
+    std::string payload;
+    EXPECT_FALSE(store::readStoreEntry(dir, folded, kTestVersion,
+                                       "folded-key", &payload))
+        << "a store read opens the entry file and nothing else";
+    EXPECT_FALSE(store::storeEntryExists(dir, folded, kTestVersion,
+                                         "folded-key"));
+
+    store::VerifyOptions report_only;
+    report_only.fix = false;
+    const store::VerifyReport counted =
+        store::runVerify(root, report_only);
+    EXPECT_TRUE(counted.ok);
+    EXPECT_TRUE(counted.clean()) << "a legacy segment is not corruption";
+    EXPECT_EQ(counted.legacySegments, 1u);
+    EXPECT_EQ(counted.scannedEntries, 3u);
+    EXPECT_TRUE(fileExists(seg)) << "report-only must leave it in place";
+
+    const store::VerifyReport fixed = store::runVerify(root, {});
+    EXPECT_TRUE(fixed.ok);
+    EXPECT_TRUE(fixed.clean());
+    EXPECT_EQ(fixed.legacySegments, 1u);
+    EXPECT_EQ(fixed.quarantined, 0u);
+    EXPECT_FALSE(fileExists(seg));
+    EXPECT_EQ(store::runVerify(root, {}).legacySegments, 0u);
+
+    for (int i = 0; i < 3; ++i) {
+        ASSERT_TRUE(store::readStoreEntry(dir, names[i], kTestVersion,
+                                          "key-" + std::to_string(i),
+                                          &payload))
+            << names[i];
+        EXPECT_EQ(payload,
+                  std::string(200, static_cast<char>('a' + i)));
+    }
+}
+
 // --- GC: budget, LRU order, lease- and age-protection -----------------
 
 TEST(Gc, EvictsLeastRecentlyUsedToTheByteBudget)
@@ -372,6 +447,41 @@ TEST(Gc, AccessIndexBeatsMtimeForRecency)
     EXPECT_FALSE(fileExists(dir + "/" + names[1]));
 }
 
+TEST(Gc, ConcurrentAccessFlushesKeepEveryTouch)
+{
+    // Readers flush their directory every few hundred touches while a
+    // server's GC thread flushes everything: no flush may drop
+    // another's touches from the sidecar.
+    const std::string dir = freshDir("access-race") + "/profiles";
+    ASSERT_TRUE(store::makeDirs(dir));
+    constexpr int kReaders = 4;
+    constexpr int kTouchesEach = 5000;
+    std::atomic<int> finished{0};
+    std::thread gc_thread([&finished] {
+        while (finished.load() < kReaders)
+            store::flushAccessIndexes();
+    });
+    std::vector<std::thread> readers;
+    for (int t = 0; t < kReaders; ++t)
+        readers.emplace_back([t, &dir, &finished] {
+            for (int i = 0; i < kTouchesEach; ++i)
+                store::recordAccess(dir, "t" + std::to_string(t) + "-" +
+                                             std::to_string(i) +
+                                             ".profile");
+            finished.fetch_add(1);
+        });
+    for (std::thread &r : readers)
+        r.join();
+    gc_thread.join();
+    store::flushAccessIndexes();
+
+    // Every buffered touch is flushed, so this is the sidecar alone.
+    std::map<std::string, int64_t> index;
+    store::loadAccessIndex(dir, &index);
+    EXPECT_EQ(index.size(),
+              static_cast<size_t>(kReaders * kTouchesEach));
+}
+
 TEST(Gc, AgeBoundEvictsIdleEntriesOnly)
 {
     std::vector<std::string> names;
@@ -389,132 +499,7 @@ TEST(Gc, AgeBoundEvictsIdleEntriesOnly)
     EXPECT_TRUE(fileExists(dir + "/" + names[2]));
 }
 
-// --- Compaction: segments served transparently ------------------------
-
-TEST(Compactor, FoldsLooseEntriesIntoASegmentServedTransparently)
-{
-    std::vector<std::string> names;
-    const std::string root =
-        syntheticRoot("compact", 10, 300, &names);
-    const std::string dir = root + "/profiles";
-
-    store::CompactOptions opts;
-    opts.force = true;
-    opts.minAgeMs = 0;
-    const store::CompactReport report = store::runCompact(root, opts);
-    EXPECT_TRUE(report.ok);
-    EXPECT_EQ(report.foldedEntries, 10u);
-    EXPECT_EQ(report.segmentsWritten, 1u);
-    EXPECT_EQ(store::listSegmentFiles(dir).size(), 1u);
-
-    // Loose files are gone; every entry still reads, byte for byte.
-    for (int i = 0; i < 10; ++i) {
-        EXPECT_FALSE(fileExists(dir + "/" + names[i]));
-        std::string payload;
-        ASSERT_TRUE(store::readStoreEntry(dir, names[i], kTestVersion,
-                                          "key-" + std::to_string(i),
-                                          &payload))
-            << names[i];
-        EXPECT_EQ(payload,
-                  std::string(300, static_cast<char>('a' + i % 26)));
-        EXPECT_TRUE(store::storeEntryExists(dir, names[i],
-                                            kTestVersion,
-                                            "key-" + std::to_string(i)));
-    }
-}
-
-TEST(Compactor, LooseRewriteShadowsItsSegmentSlice)
-{
-    std::vector<std::string> names;
-    const std::string root = syntheticRoot("shadow", 4, 100, &names);
-    const std::string dir = root + "/profiles";
-    store::CompactOptions opts;
-    opts.force = true;
-    opts.minAgeMs = 0;
-    ASSERT_TRUE(store::runCompact(root, opts).ok);
-
-    // Republished after the fold (an .obs merge, a newer profile):
-    // the loose file must win over the stale slice.
-    ASSERT_TRUE(store::writeEntryFile(dir + "/" + names[2],
-                                      kTestVersion, "key-2",
-                                      "fresher payload"));
-    std::string payload;
-    ASSERT_TRUE(store::readStoreEntry(dir, names[2], kTestVersion,
-                                      "key-2", &payload));
-    EXPECT_EQ(payload, "fresher payload");
-
-    // The next compaction folds the rewrite forward and the segment
-    // keeps serving the fresher bytes.
-    ASSERT_TRUE(store::runCompact(root, opts).ok);
-    EXPECT_EQ(store::listSegmentFiles(dir).size(), 1u);
-    payload.clear();
-    ASSERT_TRUE(store::readStoreEntry(dir, names[2], kTestVersion,
-                                      "key-2", &payload));
-    EXPECT_EQ(payload, "fresher payload");
-}
-
-TEST(Compactor, GcEvictsFromSegmentsViaRewrite)
-{
-    std::vector<std::string> names;
-    const std::string root = syntheticRoot("seg-gc", 6, 500, &names);
-    const std::string dir = root + "/profiles";
-    for (const std::string &n : names)
-        backdateMtime(dir + "/" + n, 3600);
-    store::CompactOptions copts;
-    copts.force = true;
-    copts.minAgeMs = 0;
-    ASSERT_TRUE(store::runCompact(root, copts).ok);
-
-    store::GcOptions gopts;
-    gopts.maxBytes = 1;
-    gopts.minAgeMs = 0;
-    const store::GcReport report = store::runGc(root, gopts);
-    EXPECT_TRUE(report.ok);
-    EXPECT_EQ(report.evicted, 6u);
-    for (const std::string &n : names) {
-        std::string payload;
-        EXPECT_FALSE(store::readStoreEntry(
-            dir, n, kTestVersion,
-            "key-" + n.substr(6, n.find('.') - 6), &payload))
-            << n;
-    }
-    const store::StoreUsage usage = store::scanStoreUsage(root);
-    EXPECT_EQ(usage.entries(), 0u);
-}
-
-// --- The real stores over a compacted root ----------------------------
-
-TEST(Compactor, ProfileStoreServesCompactedEntriesBitExactly)
-{
-    const std::string dir = freshDir("ps-compact") + "/profiles";
-    auto kc = driver::makeStencil1dCase("stencil", 8, 128);
-    auto launch = kc.make();
-    funcsim::FunctionalSimulator sim(arch::GpuSpec::gtx285());
-    const funcsim::KernelProfile profile = funcsim::profileKernel(
-        sim, launch.kernel, launch.cfg, *launch.gmem);
-    {
-        store::ProfileStore ps(dir);
-        ASSERT_TRUE(ps.save(profile));
-    }
-    store::CompactOptions opts;
-    opts.force = true;
-    opts.minAgeMs = 0;
-    // The store root is the PARENT of profiles/.
-    const std::string root = dir.substr(0, dir.rfind('/'));
-    ASSERT_TRUE(store::runCompact(root, opts).ok);
-    ASSERT_EQ(store::listSegmentFiles(dir).size(), 1u);
-
-    store::ProfileStore warm(dir);
-    auto loaded = warm.load(profile.key);
-    ASSERT_NE(loaded, nullptr)
-        << "a compacted profile must load through the segment";
-    EXPECT_EQ(warm.hits(), 1u);
-    EXPECT_EQ(loaded->kernelName, profile.kernelName);
-    EXPECT_EQ(loaded->trace.totalOps(), profile.trace.totalOps());
-    EXPECT_GT(warm.stats().bytesRead, 0u);
-}
-
-// --- Full-batch acceptance: warm over compacted, racing janitors ------
+// --- Full-batch acceptance: janitors racing a live batch --------------
 
 arch::GpuSpec
 tinySpec()
@@ -576,40 +561,6 @@ adoptAll(api::AnalysisService &service, const api::AnalysisRequest &req)
         service.adoptCalibration(req, spec, tables);
 }
 
-TEST(Lifecycle, WarmRunOverCompactedStoreIsBitIdentical)
-{
-    const std::string root = freshDir("warm-compacted");
-    api::AnalysisService service;
-    const api::AnalysisRequest req = lifecycleRequest(root);
-    adoptAll(service, req);
-    const api::AnalysisResponse cold = service.run(req);
-    for (const auto &cell : cold.cells)
-        ASSERT_TRUE(cell.ok) << cell.error;
-
-    // Compact EVERYTHING, then replay from a fresh process image.
-    store::CompactOptions opts;
-    opts.force = true;
-    opts.minAgeMs = 0;
-    const store::CompactReport report = store::runCompact(root, opts);
-    ASSERT_TRUE(report.ok);
-    ASSERT_GT(report.foldedEntries, 0u);
-
-    service.reset();
-    api::AnalysisService warm_service;
-    adoptAll(warm_service, req);
-    const api::AnalysisResponse warm = warm_service.run(req);
-    std::string why;
-    EXPECT_TRUE(api::responsesEqual(cold, warm, &why)) << why;
-
-    // Every loose file was folded, so ANY warm hit was served
-    // through a segment (cells come warm from the result store, so
-    // the hits land there rather than in profiles).
-    const store::StoreLayerStats stats = warm_service.storeStats();
-    EXPECT_GT(stats.total().hits, 0u)
-        << "the warm run must be served through the segments";
-    EXPECT_GT(stats.total().bytesRead, 0u);
-}
-
 TEST(Lifecycle, JanitorsRacingALiveBatchStayBitIdentical)
 {
     // The reference: an undisturbed run on its own store.
@@ -620,20 +571,15 @@ TEST(Lifecycle, JanitorsRacingALiveBatchStayBitIdentical)
     const api::AnalysisResponse ref = ref_service.run(ref_req);
 
     // The contested store: GC under maximal byte pressure (the
-    // min-age guard is the only protection for in-flight entries),
-    // forced compaction, and a fixing verifier, all looping while
-    // the batch runs.
+    // min-age guard is the only protection for in-flight entries) and
+    // a fixing verifier, both looping while the batch runs.
     const std::string root = freshDir("race-live");
     std::atomic<bool> stop{false};
     std::thread janitor([&root, &stop] {
         store::GcOptions gc;
         gc.maxBytes = 1;
-        store::CompactOptions compact;
-        compact.force = true;
-        compact.minAgeMs = 0;
         while (!stop.load()) {
             (void)store::runGc(root, gc);
-            (void)store::runCompact(root, compact);
             (void)store::runVerify(root, {});
         }
     });
@@ -657,6 +603,47 @@ TEST(Lifecycle, JanitorsRacingALiveBatchStayBitIdentical)
     // The contested store must still verify clean afterwards.
     const store::VerifyReport report = store::runVerify(root, {});
     EXPECT_TRUE(report.clean());
+}
+
+// --- Admin reports ----------------------------------------------------
+
+/** The object keys of @p json in document order. */
+std::vector<std::string>
+jsonKeys(const std::string &json)
+{
+    static const std::regex key_re("\"([^\"]+)\":");
+    std::vector<std::string> keys;
+    for (std::sregex_iterator it(json.begin(), json.end(), key_re), end;
+         it != end; ++it)
+        keys.push_back((*it)[1]);
+    return keys;
+}
+
+TEST(Lifecycle, AdminReportsNameExactlyTheseKeys)
+{
+    // gpuperf-worker gc|verify|stats print these for cron jobs and
+    // alerts to read: changing a key must be a deliberate edit here.
+    const std::string root = syntheticRoot("report-keys", 1, 100, nullptr);
+    using Keys = std::vector<std::string>;
+
+    store::GcOptions gc;
+    gc.dryRun = true;
+    EXPECT_EQ(jsonKeys(store::runGc(root, gc).json()),
+              (Keys{"scanned", "evicted", "evicted_bytes", "kept_leased",
+                    "kept_young", "dirs_skipped_busy",
+                    "live_bytes_before", "live_bytes_after", "ok"}));
+
+    store::VerifyOptions verify;
+    verify.fix = false;
+    EXPECT_EQ(jsonKeys(store::runVerify(root, verify).json()),
+              (Keys{"scanned_entries", "scanned_bytes",
+                    "corrupt_entries", "quarantined", "legacy_segments",
+                    "stale_leases", "stale_temps", "ok", "clean"}));
+
+    EXPECT_EQ(jsonKeys(store::storeUsageJson(store::scanStoreUsage(root))),
+              (Keys{"profiles", "entries", "live_bytes", "leases",
+                    "temp_files", "quarantined", "entries", "live_bytes",
+                    "leases", "quarantined"}));
 }
 
 // --- Telemetry plumbing -----------------------------------------------

@@ -1,6 +1,5 @@
 #include "cli_common.h"
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -61,27 +60,8 @@ parseCommonArgs(int argc, char **argv, int first, CommonArgs *args)
             args->dryRun = true;
             continue;
         }
-        if (arg == "--force") {
-            args->force = true;
-            continue;
-        }
         if (arg == "--report-only") {
             args->reportOnly = true;
-            continue;
-        }
-        if (arg == "--min-loose") {
-            const char *v = value("--min-loose");
-            if (!v)
-                return false;
-            // Strict, like Endpoint::parse's numeric keys: a typo must
-            // fail, not fall back to the default threshold.
-            char *end = nullptr;
-            const unsigned long long n = std::strtoull(v, &end, 10);
-            if (*v == '\0' || *end != '\0') {
-                std::cerr << "bad value '" << v << "' for --min-loose\n";
-                return false;
-            }
-            args->minLoose = n;
             continue;
         }
         if (arg == "--json") {

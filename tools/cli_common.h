@@ -26,8 +26,7 @@
  *   --json              send JSON requests                 (`json`)
  *
  * plus the non-endpoint flags --out, --stats-json and the admin-verb
- * flags --dry-run/--force/--min-loose/--report-only (gpuperf-worker
- * gc|verify|compact|stats).
+ * flags --dry-run/--report-only (gpuperf-worker gc|verify|stats).
  */
 
 #ifndef GPUPERF_TOOLS_CLI_COMMON_H
@@ -53,11 +52,9 @@ struct CommonArgs
     std::string store;
     bool statsJson = false;
 
-    /** Admin verbs (gpuperf-worker gc|verify|compact). */
+    /** Admin verbs (gpuperf-worker gc|verify). */
     bool dryRun = false;      ///< gc: report, touch nothing
-    bool force = false;       ///< compact: ignore the size thresholds
     bool reportOnly = false;  ///< verify: scan without fixing
-    uint64_t minLoose = 0;    ///< compact: fold threshold (0 = default)
 
     /** Accumulated `k=v&k=v` endpoint options from option flags. */
     std::string query;

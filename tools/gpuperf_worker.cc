@@ -22,15 +22,15 @@
  *   gpuperf-worker gc --store DIR [--gc-bytes N] [--gc-age SEC]
  *                  [--dry-run]
  *   gpuperf-worker verify --store DIR [--report-only]
- *   gpuperf-worker compact --store DIR [--force] [--min-loose N]
  *   gpuperf-worker stats --store DIR
  *       Store lifecycle admin verbs (src/store/lifecycle/): bound the
  *       shared store's size/age (lease-aware LRU eviction), scan and
- *       quarantine corrupt entries, fold loose entry files into
- *       indexed segments, and dump the disk-side usage scan. All are
- *       safe against a live fleet sharing the store; each prints its
- *       JSON report on stdout. `verify` exits 2 when it found
- *       corruption (quarantined or not), so cron can alarm on it.
+ *       quarantine corrupt entries (and remove the segment files
+ *       older builds compacted into), and dump the disk-side usage
+ *       scan. All are safe against a live fleet sharing the store;
+ *       each prints its JSON report on stdout. `verify` exits 2 when
+ *       it found corruption (quarantined or not), so cron can alarm
+ *       on it.
  *
  * Every endpoint-tunable flag shares its spelling with gpuperf-serve
  * and with api::Endpoint query options — see tools/cli_common.h.
@@ -50,7 +50,6 @@
 #include "api/service.h"
 #include "api/transport.h"
 #include "cli_common.h"
-#include "store/lifecycle/compactor.h"
 #include "store/lifecycle/gc.h"
 #include "store/lifecycle/lifecycle.h"
 #include "store/lifecycle/verifier.h"
@@ -72,8 +71,6 @@ usage()
            "  gpuperf-worker gc --store DIR [--gc-bytes N] "
            "[--gc-age SEC] [--dry-run]\n"
            "  gpuperf-worker verify --store DIR [--report-only]\n"
-           "  gpuperf-worker compact --store DIR [--force] "
-           "[--min-loose N]\n"
            "  gpuperf-worker stats --store DIR\n"
            "shared option flags (see tools/cli_common.h): --store "
            "--timeout --idle-timeout\n"
@@ -193,8 +190,7 @@ main(int argc, char **argv)
 
         // Store lifecycle admin verbs: the flags travel as endpoint
         // options (one vocabulary), so parse them off an inproc URI.
-        if (mode == "gc" || mode == "verify" || mode == "compact" ||
-            mode == "stats") {
+        if (mode == "gc" || mode == "verify" || mode == "stats") {
             const api::Endpoint ep = cli::endpointFor(
                 args, "inproc:", api::Endpoint::Role::kClient);
             const std::string root =
@@ -225,16 +221,6 @@ main(int argc, char **argv)
                 if (!report.ok)
                     return 1;
                 return report.clean() ? 0 : 2;
-            }
-            if (mode == "compact") {
-                store::CompactOptions co;
-                co.force = args.force;
-                if (args.minLoose > 0)
-                    co.minLooseEntries = args.minLoose;
-                const store::CompactReport report =
-                    store::runCompact(root, co);
-                std::cout << report.json() << "\n";
-                return report.ok ? 0 : 1;
             }
             const store::StoreUsage usage_scan =
                 store::scanStoreUsage(root);
