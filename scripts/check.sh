@@ -44,17 +44,20 @@
 #               <build-dir>/sched-smoke/.
 #   --store-smoke
 #               Build, then run ONLY the store-lifecycle smoke: a cold
-#               run populates a store, one entry is deliberately
-#               corrupted on disk and a segment file of the kind older
-#               builds compacted into is planted beside it
-#               (`gpuperf-worker verify` must exit 2 for the
-#               corruption alone, quarantine the entry and remove the
-#               segment), the backdated store is emptied by a GC after
-#               a GC dry-run that touches nothing (`stats` must then
-#               count 0 entries), and the next run must recompute a
-#               response byte-identical to the cold one. The full
-#               (flagless) run executes this step as well; artifacts
-#               land in <build-dir>/store-smoke/.
+#               run populates a store, and two reruns of the request
+#               (one reusing the stored results, one recomputing them)
+#               must answer byte-identically without replacing any
+#               entry file (every entry keeps its inode); then one
+#               entry is deliberately corrupted on disk and a segment
+#               file of the kind older builds compacted into is
+#               planted beside it (`gpuperf-worker verify` must exit 2
+#               for the corruption alone, quarantine the entry and
+#               remove the segment), the backdated store is emptied by
+#               a GC after a GC dry-run that touches nothing (`stats`
+#               must then count 0 entries), and the next run must
+#               recompute a response byte-identical to the cold one.
+#               The full (flagless) run executes this step as well;
+#               artifacts land in <build-dir>/store-smoke/.
 #   build-dir   default: build (build-asan with --sanitize)
 #   build-type  Debug | Release | RelWithDebInfo | ... (default: the
 #               build dir's existing type, or CMake's default).
@@ -234,6 +237,32 @@ run_store_smoke() {
     "$W" demo-request --out "$SMOKE/request.json" --store "$STORE"
     "$W" run "$SMOKE/request.json" --out "$SMOKE/response-cold.json"
 
+    # A rerun republishes nothing, whether it reuses the stored results
+    # or recomputes them: every save reproduces the bytes on disk, so
+    # no entry is renamed over (a rename always brings a new inode).
+    entry_inodes() {
+        find "$STORE" -type f \( -name '*.profile' -o -name '*.calibration' \
+            -o -name '*.bench' -o -name '*.timing' -o -name '*.result' \) \
+            -printf '%p %i\n' | sort
+    }
+    entry_inodes > "$SMOKE/inodes-cold.txt"
+    sed 's/"reuseStoredResults": true/"reuseStoredResults": false/' \
+        "$SMOKE/request.json" > "$SMOKE/request-recompute.json"
+    grep -q '"reuseStoredResults": false' "$SMOKE/request-recompute.json" || {
+        echo "store-smoke: request.json has no reuseStoredResults to flip" >&2
+        return 1
+    }
+    "$W" run "$SMOKE/request.json" --out "$SMOKE/response-rerun.json"
+    "$W" run "$SMOKE/request-recompute.json" \
+        --out "$SMOKE/response-recompute.json"
+    entry_inodes > "$SMOKE/inodes-rerun.txt"
+    diff "$SMOKE/inodes-cold.txt" "$SMOKE/inodes-rerun.txt" || {
+        echo "store-smoke: a rerun rewrote store entries" >&2
+        return 1
+    }
+    diff "$SMOKE/response-cold.json" "$SMOKE/response-rerun.json"
+    diff "$SMOKE/response-cold.json" "$SMOKE/response-recompute.json"
+
     # Plant a segment file as older builds' compactors left them, then
     # corrupt a stored profile (trailing garbage breaks the entry
     # framing): verify must exit 2 for the corruption alone,
@@ -282,8 +311,8 @@ run_store_smoke() {
     }
     "$W" run "$SMOKE/request.json" --out "$SMOKE/response-after-gc.json"
     diff "$SMOKE/response-cold.json" "$SMOKE/response-after-gc.json"
-    echo "store-smoke: corruption quarantined, legacy segment removed," \
-         "run after GC byte-identical"
+    echo "store-smoke: reruns rewrote no entry, corruption quarantined," \
+         "legacy segment removed, run after GC byte-identical"
 }
 
 # The four end-to-end smokes by name (the --NAME-smoke flags).

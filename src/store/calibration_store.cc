@@ -13,13 +13,6 @@ CalibrationStore::CalibrationStore(std::string dir)
     makeDirs(dir_);
 }
 
-std::string
-CalibrationStore::path(const arch::GpuSpec &spec,
-                       const std::string &key) const
-{
-    return dir_ + "/" + fileStem(spec.name, key) + ".calibration";
-}
-
 std::shared_ptr<const model::CalibrationTables>
 CalibrationStore::load(const arch::GpuSpec &spec) const
 {
@@ -47,8 +40,8 @@ CalibrationStore::save(const arch::GpuSpec &spec,
     const std::string key = spec.fingerprint();
     ByteWriter w;
     wire::encode(w, tables);
-    return writeEntryFile(path(spec, key), kFormatVersion, key,
-                          w.bytes(), &counters_);
+    return writeStoreEntry(dir_, fileStem(spec.name, key) + ".calibration",
+                           kFormatVersion, key, w.bytes(), &counters_);
 }
 
 bool
@@ -56,7 +49,9 @@ CalibrationStore::saveBenchResults(const arch::GpuSpec &spec,
                                    std::vector<BenchEntry> entries) const
 {
     // Merge with what is already stored so shapes measured by earlier
-    // batches survive a batch that happened not to need them.
+    // batches survive a batch that happened not to need them. It runs
+    // on every save (a merge that adds nothing is a skipped write), so
+    // a shape lost to a racing saver's rename comes back.
     std::vector<BenchEntry> merged = loadBenchResults(spec);
     for (BenchEntry &e : entries) {
         bool known = false;
@@ -73,9 +68,8 @@ CalibrationStore::saveBenchResults(const arch::GpuSpec &spec,
     const std::string key = "bench|" + spec.fingerprint();
     ByteWriter w;
     wire::encode(w, merged);
-    return writeEntryFile(dir_ + "/" + fileStem(spec.name, key) +
-                              ".bench",
-                          kFormatVersion, key, w.bytes(), &counters_);
+    return writeStoreEntry(dir_, fileStem(spec.name, key) + ".bench",
+                           kFormatVersion, key, w.bytes(), &counters_);
 }
 
 std::string

@@ -57,10 +57,14 @@ class CalibrationStore
      * for @p spec (the memoized half of calibration the tables do not
      * cover). Entries accumulate across saves: a batch that measured
      * new launch shapes merges them into the stored set, so repeated
-     * runs converge on zero microbenchmark work. The load-merge-write
-     * is not atomic across processes — two writers racing on one
-     * store can each persist only their own merge (last rename wins),
-     * which costs a re-measurement on a later run, never wrong data.
+     * runs converge on zero microbenchmark work. A merge that adds no
+     * shape re-encodes exactly the stored bytes, and writeStoreEntry
+     * skips the write. The load-merge-write is not atomic across
+     * processes — two writers racing on one store can each persist
+     * only their own merge (last rename wins). The merge runs on
+     * every save, so a shape lost that way comes back with the
+     * loser's next save; meanwhile it costs a re-measurement, never
+     * wrong data.
      */
     bool saveBenchResults(const arch::GpuSpec &spec,
                           std::vector<BenchEntry> entries) const;
@@ -119,8 +123,6 @@ class CalibrationStore
     }
 
   private:
-    std::string path(const arch::GpuSpec &spec,
-                     const std::string &key) const;
     std::string leasePath(const arch::GpuSpec &spec) const;
 
     std::string dir_;

@@ -76,6 +76,30 @@ loadAccessIndexFile(const std::string &dir,
 }
 
 /**
+ * True when @p path holds exactly the blob writeEntryFile() would
+ * publish for (@p version, @p key, @p payload).
+ */
+bool
+holdsEntryBlob(const std::string &path, uint32_t version,
+               const std::string &key, const std::string &payload,
+               StoreCounters *counters)
+{
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    if (!in)
+        return false; // absent, the cold case: no blob to build
+    const std::string blob = encodeEntryBlob(version, key, payload);
+    if (in.tellg() != static_cast<std::streamoff>(blob.size()))
+        return false;
+    std::string data(blob.size(), '\0');
+    in.seekg(0, std::ios::beg);
+    if (!in.read(&data[0], static_cast<std::streamsize>(data.size())))
+        return false;
+    if (counters)
+        counters->read(data.size());
+    return data == blob;
+}
+
+/**
  * The process-wide touch buffer. One mutexed map insert per store
  * read; the disk write happens every kAccessFlushEvery touches per
  * directory (and on flushAccessIndexes()), merge-max against the
@@ -306,6 +330,20 @@ storeEntryExists(const std::string &dir, const std::string &name,
 {
     if (!readEntryHeader(dir + "/" + name, version, key, counters))
         return false;
+    recordAccess(dir, name);
+    return true;
+}
+
+bool
+writeStoreEntry(const std::string &dir, const std::string &name,
+                uint32_t version, const std::string &key,
+                const std::string &payload, StoreCounters *counters)
+{
+    const std::string path = dir + "/" + name;
+    if (!holdsEntryBlob(path, version, key, payload, counters))
+        return writeEntryFile(path, version, key, payload, counters);
+    if (counters)
+        counters->skippedWrite();
     recordAccess(dir, name);
     return true;
 }

@@ -2,10 +2,10 @@
  * @file
  * Shared scaffolding for the store lifecycle subsystem (GC, verify,
  * usage telemetry): what KIND of file each name in a store directory
- * is, which subdirectories a store root owns, the read helpers every
- * store goes through, the last-access sidecar index the GC's LRU runs
- * on, and the disk-side usage scan that complements the process-side
- * StoreCounters.
+ * is, which subdirectories a store root owns, the three calls every
+ * store reads and writes through, the last-access sidecar index the
+ * GC's LRU runs on, and the disk-side usage scan that complements the
+ * process-side StoreCounters.
  *
  * A store directory holds exactly these citizens:
  *   entries     *.profile *.calibration *.bench *.timing *.obs *.result
@@ -69,11 +69,12 @@ uint64_t fileSizeOf(const std::string &path);
 /** st_mtime of @p path in ms since epoch, or 0. */
 int64_t fileMtimeMs(const std::string &path);
 
-// --- Store reads ------------------------------------------------------
+// --- Store reads and writes -------------------------------------------
 //
-// The two calls every store uses in place of bare readEntryFile /
-// readEntryHeader: the same read, plus recordAccess() on a hit so
-// the GC's LRU sees it.
+// The three calls every store uses in place of bare readEntryFile /
+// readEntryHeader / writeEntryFile: the same read or write, plus
+// recordAccess() on a hit (or a skipped write) so the GC's LRU sees
+// it.
 
 /**
  * readEntryFile() of @p dir/@p name, recording the access on a hit.
@@ -91,6 +92,21 @@ bool readStoreEntry(const std::string &dir, const std::string &name,
 bool storeEntryExists(const std::string &dir, const std::string &name,
                       uint32_t version, const std::string &key,
                       StoreCounters *counters = nullptr);
+
+/**
+ * writeEntryFile() of @p dir/@p name, skipped when the file already
+ * holds exactly the entry blob it would publish (same size, then a
+ * full byte compare): a recompute that reproduces the stored bytes
+ * republishes nothing, and the skip records the access instead, so
+ * the GC's LRU order is what the rewrite would have left. A damaged,
+ * legacy trailer-less or different entry never equals the blob and
+ * is replaced. A skip counts the bytes it read and skippedWrite(),
+ * no write; true when the entry is on disk afterwards.
+ */
+bool writeStoreEntry(const std::string &dir, const std::string &name,
+                     uint32_t version, const std::string &key,
+                     const std::string &payload,
+                     StoreCounters *counters = nullptr);
 
 // --- Last-access sidecar ----------------------------------------------
 //

@@ -12,14 +12,6 @@ ProfileStore::ProfileStore(std::string dir) : dir_(std::move(dir))
     makeDirs(dir_);
 }
 
-std::string
-ProfileStore::path(const funcsim::ProfileKey &key,
-                   const std::string &key_str) const
-{
-    (void)key;
-    return dir_ + "/" + fileStem("profile", key_str) + ".profile";
-}
-
 std::shared_ptr<const funcsim::KernelProfile>
 ProfileStore::load(const funcsim::ProfileKey &key) const
 {
@@ -76,8 +68,9 @@ ProfileStore::save(const funcsim::KernelProfile &profile) const
     const std::string key_str = profile.key.str();
     ByteWriter w;
     wire::encode(w, profile);
-    return writeEntryFile(path(profile.key, key_str), kFormatVersion,
-                          key_str, w.bytes(), &counters_);
+    return writeStoreEntry(dir_, fileStem("profile", key_str) + ".profile",
+                           kFormatVersion, key_str, w.bytes(),
+                           &counters_);
 }
 
 } // namespace store

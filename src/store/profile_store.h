@@ -105,8 +105,6 @@ class ProfileStore
     }
 
   private:
-    std::string path(const funcsim::ProfileKey &key,
-                     const std::string &key_str) const;
     std::string leasePath(const funcsim::ProfileKey &key) const;
 
     std::string dir_;

@@ -12,12 +12,6 @@ ResultStore::ResultStore(std::string dir) : dir_(std::move(dir))
     makeDirs(dir_);
 }
 
-std::string
-ResultStore::path(const std::string &key) const
-{
-    return dir_ + "/" + fileStem("result", key) + ".result";
-}
-
 std::unique_ptr<driver::BatchResult>
 ResultStore::load(const std::string &key) const
 {
@@ -47,8 +41,8 @@ ResultStore::save(const std::string &key,
 {
     ByteWriter w;
     wire::encode(w, result);
-    return writeEntryFile(path(key), kFormatVersion, key, w.bytes(),
-                          &counters_);
+    return writeStoreEntry(dir_, fileStem("result", key) + ".result",
+                           kFormatVersion, key, w.bytes(), &counters_);
 }
 
 } // namespace store

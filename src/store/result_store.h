@@ -105,8 +105,6 @@ class ResultStore
     const std::string &dir() const { return dir_; }
 
   private:
-    std::string path(const std::string &key) const;
-
     std::string dir_;
     mutable StoreCounters counters_;
 };

@@ -106,6 +106,11 @@ constexpr size_t kChecksumTrailerBytes = 16;
  * false and warns on I/O failure — a store write error degrades to a
  * cache miss next time, never to corrupt data. @p counters (optional)
  * receives the write / write-failure / bytes-written bumps.
+ *
+ * The raw primitive: it always publishes. Stores save through
+ * store::writeStoreEntry() (lifecycle/lifecycle.h), which skips the
+ * write when the file already holds these exact bytes; tests call
+ * this one to plant entries.
  */
 bool writeEntryFile(const std::string &path, uint32_t version,
                     const std::string &key, const std::string &payload,

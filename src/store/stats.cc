@@ -30,6 +30,8 @@ storeStatsJson(const StoreStats &stats, const std::string &indent)
     appendField(&out, indent, "writes", stats.writes, false);
     appendField(&out, indent, "write_failures", stats.writeFailures,
                 false);
+    appendField(&out, indent, "writes_skipped", stats.writesSkipped,
+                false);
     appendField(&out, indent, "bytes_read", stats.bytesRead, false);
     appendField(&out, indent, "bytes_written", stats.bytesWritten,
                 false);

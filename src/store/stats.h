@@ -31,7 +31,8 @@ struct StoreStats
     uint64_t misses = 0;       ///< loads that recompute (absent/stale/corrupt)
     uint64_t writes = 0;       ///< entries persisted (atomic publishes)
     uint64_t writeFailures = 0;///< publishes that failed (degraded to miss)
-    uint64_t bytesRead = 0;    ///< file bytes read (entries + headers + obs)
+    uint64_t writesSkipped = 0;///< saves whose bytes were already on disk
+    uint64_t bytesRead = 0;    ///< file bytes read (loads, headers, compares)
     uint64_t bytesWritten = 0; ///< file bytes written
     uint64_t leaseSteals = 0;  ///< stale leases this process broke
 
@@ -41,6 +42,7 @@ struct StoreStats
         misses += o.misses;
         writes += o.writes;
         writeFailures += o.writeFailures;
+        writesSkipped += o.writesSkipped;
         bytesRead += o.bytesRead;
         bytesWritten += o.bytesWritten;
         leaseSteals += o.leaseSteals;
@@ -66,6 +68,10 @@ class StoreCounters
     void writeFailed()
     {
         writeFailures_.fetch_add(1, std::memory_order_relaxed);
+    }
+    void skippedWrite()
+    {
+        writesSkipped_.fetch_add(1, std::memory_order_relaxed);
     }
     void read(uint64_t bytes)
     {
@@ -93,6 +99,8 @@ class StoreCounters
         s.writes = writes_.load(std::memory_order_relaxed);
         s.writeFailures =
             writeFailures_.load(std::memory_order_relaxed);
+        s.writesSkipped =
+            writesSkipped_.load(std::memory_order_relaxed);
         s.bytesRead = bytesRead_.load(std::memory_order_relaxed);
         s.bytesWritten = bytesWritten_.load(std::memory_order_relaxed);
         s.leaseSteals = leaseSteals_.load(std::memory_order_relaxed);
@@ -104,6 +112,7 @@ class StoreCounters
     std::atomic<uint64_t> misses_{0};
     std::atomic<uint64_t> writes_{0};
     std::atomic<uint64_t> writeFailures_{0};
+    std::atomic<uint64_t> writesSkipped_{0};
     std::atomic<uint64_t> bytesRead_{0};
     std::atomic<uint64_t> bytesWritten_{0};
     std::atomic<uint64_t> leaseSteals_{0};

@@ -78,12 +78,11 @@ TimingStore::save(const funcsim::ProfileKey &key,
                   const timing::TimingResult &result) const
 {
     const std::string key_str = keyFor(key, fp);
-    const std::string path =
-        dir_ + "/" + fileStem("timing", key_str) + ".timing";
     ByteWriter w;
     wire::encode(w, result);
-    return writeEntryFile(path, kFormatVersion, key_str, w.bytes(),
-                          &counters_);
+    return writeStoreEntry(dir_, fileStem("timing", key_str) + ".timing",
+                           kFormatVersion, key_str, w.bytes(),
+                           &counters_);
 }
 
 } // namespace store

@@ -3,12 +3,13 @@
  * Store lifecycle tests (src/store/lifecycle/): corrupt entries read
  * as misses and are quarantined by the verifier, never crash a
  * reader; segment files older builds compacted into are read by
- * nothing and removed by the verifier; GC evicts to its size/age
- * budget in LRU order without ever touching a leased or in-flight
- * entry, on an access index that concurrent flushes never thin out;
- * the janitors (GC + verifier) racing a live batch leave its response
- * bit-identical to an undisturbed run; and the admin reports keep
- * their keys.
+ * nothing and removed by the verifier; a save skips only a file that
+ * already holds its exact bytes, and the skip counts as an access;
+ * GC evicts to its size/age budget in LRU order without ever touching
+ * a leased or in-flight entry, on an access index that concurrent
+ * flushes never thin out; the janitors (GC + verifier) racing a live
+ * batch leave its response bit-identical to an undisturbed run; and
+ * the admin reports keep their keys.
  */
 
 #include <gtest/gtest.h>
@@ -182,6 +183,73 @@ TEST(Checksum, TrailerCatchesSilentPayloadCorruption)
     std::string got;
     EXPECT_FALSE(store::readEntryFile(path, kTestVersion, "k", &got))
         << "a bit-flipped payload must read as a miss, not as data";
+}
+
+// --- Store writes: skipped only when the bytes are already there ------
+
+ino_t
+inodeOf(const std::string &path)
+{
+    struct stat st;
+    EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+    return st.st_ino;
+}
+
+TEST(Lifecycle, WriteStoreEntrySkipsOnlyByteIdenticalEntries)
+{
+    const std::string dir = freshDir("write-skip");
+    ASSERT_TRUE(store::makeDirs(dir));
+    const std::string name = "entry.result";
+    const std::string path = dir + "/" + name;
+    const std::string payload(300, 'r');
+    const std::string blob =
+        store::encodeEntryBlob(kTestVersion, "k", payload);
+    store::StoreCounters counters;
+
+    ASSERT_TRUE(store::writeStoreEntry(dir, name, kTestVersion, "k",
+                                       payload, &counters));
+    EXPECT_EQ(counters.snapshot().writes, 1u);
+    EXPECT_EQ(counters.snapshot().bytesRead, 0u)
+        << "an absent entry is written without a compare";
+    const ino_t first = inodeOf(path);
+
+    // The same bytes again: nothing is published.
+    ASSERT_TRUE(store::writeStoreEntry(dir, name, kTestVersion, "k",
+                                       payload, &counters));
+    store::StoreStats s = counters.snapshot();
+    EXPECT_EQ(s.writes, 1u);
+    EXPECT_EQ(s.writesSkipped, 1u);
+    EXPECT_EQ(s.bytesWritten, blob.size());
+    EXPECT_EQ(s.bytesRead, blob.size());
+    EXPECT_EQ(inodeOf(path), first) << "an identical save renamed";
+
+    // A different payload under the same key is a recompute whose
+    // bytes differ: it replaces the entry.
+    const std::string other(300, 'R');
+    ASSERT_TRUE(store::writeStoreEntry(dir, name, kTestVersion, "k",
+                                       other, &counters));
+    EXPECT_EQ(counters.snapshot().writes, 2u);
+    std::string got;
+    ASSERT_TRUE(store::readEntryFile(path, kTestVersion, "k", &got));
+    EXPECT_EQ(got, other);
+
+    // A damaged entry (trailing garbage) is replaced by the clean blob.
+    ASSERT_TRUE(writeWhole(path, blob + "GARBAGE"));
+    ASSERT_TRUE(store::writeStoreEntry(dir, name, kTestVersion, "k",
+                                       payload, &counters));
+    EXPECT_EQ(counters.snapshot().writes, 3u);
+    EXPECT_EQ(readWhole(path), blob);
+
+    // A legacy trailer-less entry with the same payload reads fine,
+    // but is not the blob: it is upgraded with the checksum trailer.
+    ASSERT_TRUE(writeWhole(
+        path, blob.substr(0, blob.size() - store::kChecksumTrailerBytes)));
+    ASSERT_TRUE(store::readEntryFile(path, kTestVersion, "k", &got));
+    ASSERT_TRUE(store::writeStoreEntry(dir, name, kTestVersion, "k",
+                                       payload, &counters));
+    EXPECT_EQ(counters.snapshot().writes, 4u);
+    EXPECT_EQ(counters.snapshot().writesSkipped, 1u);
+    EXPECT_EQ(readWhole(path), blob);
 }
 
 // --- Corruption injection: reads degrade, verify quarantines ----------
@@ -482,6 +550,38 @@ TEST(Gc, ConcurrentAccessFlushesKeepEveryTouch)
               static_cast<size_t>(kReaders * kTouchesEach));
 }
 
+TEST(Gc, SkippedWriteCountsAsAnAccess)
+{
+    // A save the store skips leaves the old mtime in place; the GC
+    // must still see the entry as just used, as it did when every
+    // save rewrote the file.
+    std::vector<std::string> names;
+    const std::string root = syntheticRoot("gc-skip", 1, 1000, &names);
+    const std::string dir = root + "/profiles";
+    const std::string path = dir + "/" + names[0];
+    backdateMtime(path, 7200);
+    const int64_t stale_ms = store::fileMtimeMs(path);
+
+    store::StoreCounters counters;
+    ASSERT_TRUE(store::writeStoreEntry(dir, names[0], kTestVersion,
+                                       "key-0", std::string(1000, 'a'),
+                                       &counters));
+    ASSERT_EQ(counters.snapshot().writesSkipped, 1u);
+    EXPECT_EQ(store::fileMtimeMs(path), stale_ms);
+
+    std::map<std::string, int64_t> index;
+    store::loadAccessIndex(dir, &index);
+    ASSERT_EQ(index.count(names[0]), 1u) << "the skip recorded no touch";
+    EXPECT_GT(index[names[0]], stale_ms + 3600 * 1000);
+
+    store::GcOptions opts;
+    opts.maxAgeMs = 3600 * 1000;
+    opts.minAgeMs = 0;
+    const store::GcReport report = store::runGc(root, opts);
+    EXPECT_EQ(report.evicted, 0u);
+    EXPECT_TRUE(fileExists(path));
+}
+
 TEST(Gc, AgeBoundEvictsIdleEntriesOnly)
 {
     std::vector<std::string> names;
@@ -656,14 +756,19 @@ TEST(StoreStats, ServiceAggregatesAcrossResetWithoutGoingBackwards)
     adoptAll(service, req);
     (void)service.run(req);
 
+    // The repeat stores nothing new: its saves are skipped.
+    (void)service.run(req);
+
     const store::StoreLayerStats before = service.storeStats();
     EXPECT_GT(before.total().writes, 0u);
+    EXPECT_GT(before.total().writesSkipped, 0u);
 
     // reset() retires every executor; its counters must fold into
     // the accumulator, not vanish.
     service.reset();
     const store::StoreLayerStats after = service.storeStats();
     EXPECT_GE(after.total().writes, before.total().writes);
+    EXPECT_GE(after.total().writesSkipped, before.total().writesSkipped);
     EXPECT_GE(after.total().hits + after.total().misses,
               before.total().hits + before.total().misses);
 }
@@ -672,10 +777,17 @@ TEST(StoreStats, JsonCarriesEveryCounterAndTheLayerTotals)
 {
     store::StoreStats s;
     s.hits = 3;
+    s.writesSkipped = 4;
     s.leaseSteals = 1;
     const std::string json = store::storeStatsJson(s);
     EXPECT_NE(json.find("\"hits\": 3"), std::string::npos);
+    EXPECT_NE(json.find("\"writes_skipped\": 4"), std::string::npos);
     EXPECT_NE(json.find("\"lease_steals\": 1"), std::string::npos);
+    EXPECT_EQ(jsonKeys(json),
+              (std::vector<std::string>{
+                  "hits", "misses", "writes", "write_failures",
+                  "writes_skipped", "bytes_read", "bytes_written",
+                  "lease_steals"}));
 
     store::StoreLayerStats layer;
     layer.profiles.hits = 2;

@@ -2,13 +2,15 @@
  * @file
  * Persistent-store tests: the binary serializer round-trips every
  * value bit-exactly, each store rejects stale/corrupt/foreign entries
- * (degrading to a recompute, never wrong data), and a warm store
+ * (degrading to a recompute, never wrong data), a warm store
  * drives BatchRunner to results bit-identical to a cold run while
- * skipping functional simulation and calibration.
+ * skipping functional simulation and calibration, and a rerun
+ * replaces only the entries whose bytes it does not reproduce.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -17,7 +19,9 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <thread>
+#include <tuple>
 
 #include "driver/batch_runner.h"
 #include "driver/demo_cases.h"
@@ -25,6 +29,7 @@
 #include "store/calibration_store.h"
 #include "store/codecs.h"
 #include "store/lease.h"
+#include "store/lifecycle/lifecycle.h"
 #include "store/profile_store.h"
 #include "store/result_store.h"
 #include "store/serializer.h"
@@ -395,6 +400,27 @@ class WarmStoreTest : public ::testing::Test
         }
     }
 
+    /** Every entry file under @p dir: path -> (inode, mtime s, ns). */
+    using EntryIds = std::map<std::string, std::tuple<ino_t, long, long>>;
+    static EntryIds entryIds(const std::string &dir)
+    {
+        EntryIds ids;
+        for (const std::string &sub : store::listStoreSubdirs(dir)) {
+            for (const std::string &name :
+                 store::listDirFiles(dir + "/" + sub)) {
+                if (!store::isEntryFileName(name))
+                    continue;
+                const std::string path = dir + "/" + sub + "/" + name;
+                struct stat st;
+                EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+                ids[sub + "/" + name] =
+                    std::make_tuple(st.st_ino, long(st.st_mtim.tv_sec),
+                                    long(st.st_mtim.tv_nsec));
+            }
+        }
+        return ids;
+    }
+
     std::vector<driver::KernelCase> kernels_;
     std::vector<arch::GpuSpec> specs_;
     driver::SweepSpec sweep_;
@@ -505,6 +531,82 @@ TEST_F(WarmStoreTest, SyntheticBenchResultsPersistAcrossRunners)
         EXPECT_EQ(served.seconds, entry.second.seconds);
         EXPECT_EQ(served.xactThroughput, entry.second.xactThroughput);
     }
+}
+
+TEST_F(WarmStoreTest, IdenticalRerunsWriteNothing)
+{
+    const std::string dir = freshDir("rerun-writes");
+    auto cold = makeRunner(dir);
+    const auto cold_results = cold->run(kernels_, specs_, sweep_);
+    const EntryIds published = entryIds(dir);
+    ASSERT_FALSE(published.empty());
+
+    // Reused results, then recomputed ones: every save reproduces the
+    // bytes already stored, so no entry file is replaced (a rename
+    // always brings a new inode).
+    for (const bool reuse : {true, false}) {
+        SCOPED_TRACE(reuse ? "reuseStoredResults" : "recompute");
+        auto rerun = makeRunner(dir, reuse);
+        expectSame(rerun->run(kernels_, specs_, sweep_), cold_results);
+        EXPECT_EQ(entryIds(dir), published);
+
+        const store::StoreLayerStats stats = rerun->storeStats();
+        EXPECT_EQ(stats.total().writes, 0u);
+        EXPECT_EQ(stats.total().bytesWritten, 0u);
+        EXPECT_EQ(stats.total().writeFailures, 0u);
+        EXPECT_EQ(stats.calibrations.writesSkipped, specs_.size())
+            << "one skipped .bench save per spec";
+        EXPECT_EQ(stats.results.writesSkipped,
+                  reuse ? 0u : kernels_.size() * specs_.size())
+            << "one skipped .result save per recomputed cell";
+    }
+}
+
+TEST_F(WarmStoreTest, ARecomputeReplacesAStoredResultWhoseBytesDiffer)
+{
+    // A stored result that is intact and carries the right key but
+    // whose bytes differ from what the pipeline now computes — the
+    // state a model change without a kFormatVersion bump leaves.
+    // Recomputing must replace it: the skip compares bytes, not keys.
+    const std::string dir = freshDir("rerun-replaces");
+    auto cold = makeRunner(dir);
+    const auto cold_results = cold->run(kernels_, specs_, sweep_);
+
+    const std::string results_dir = dir + "/results";
+    std::string entry;
+    for (const std::string &name : store::listDirFiles(results_dir))
+        if (store::isEntryFileName(name))
+            entry = name;
+    ASSERT_FALSE(entry.empty());
+    std::ifstream in(results_dir + "/" + entry, std::ios::binary);
+    const std::string blob((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    std::string key, payload;
+    ASSERT_TRUE(store::parseEntryBlob(
+        blob, store::ResultStore::kFormatVersion, &key, &payload));
+
+    store::ResultStore rs(results_dir);
+    const auto stored = rs.load(key);
+    ASSERT_NE(stored, nullptr);
+    driver::BatchResult stale = *stored;
+    stale.analysis.prediction.totalSeconds *= 2;
+    ASSERT_TRUE(rs.save(key, stale));
+    EXPECT_EQ(rs.stats().writes, 1u);
+    const auto planted = rs.load(key);
+    ASSERT_NE(planted, nullptr);
+    ASSERT_EQ(planted->analysis.prediction.totalSeconds,
+              stale.analysis.prediction.totalSeconds);
+
+    auto rerun = makeRunner(dir, false);
+    expectSame(rerun->run(kernels_, specs_, sweep_), cold_results);
+    EXPECT_EQ(rerun->resultStore()->stats().writes, 1u);
+    EXPECT_EQ(rerun->resultStore()->stats().writesSkipped,
+              kernels_.size() * specs_.size() - 1);
+    const auto replaced = rs.load(key);
+    ASSERT_NE(replaced, nullptr);
+    EXPECT_EQ(replaced->analysis.prediction.totalSeconds,
+              stored->analysis.prediction.totalSeconds)
+        << "the recomputed bytes must replace the stale entry";
 }
 
 TEST_F(WarmStoreTest, SerialReferenceMatchesStoreServedResults)
