@@ -20,9 +20,13 @@
 #               tcp:127.0.0.1:0` serves 4 concurrent gpuperf-worker
 #               clients over the Unix socket plus one over TCP; every
 #               response is byte-diffed against an in-process run of
-#               the same request. The full (flagless) run executes this
-#               and the bench_serve_soak gate as well; artifacts land in
-#               <build-dir>/serve-smoke/.
+#               the same request. Each client then re-sends its request
+#               once to the same daemon (in this smoke and in the fleet
+#               and sched smokes), so the exact-repeat path, where an
+#               executor remembers each ref's profile key and runs no
+#               factory, is byte-diffed too. The full (flagless) run
+#               executes this and the bench_serve_soak gate as well;
+#               artifacts land in <build-dir>/serve-smoke/.
 #   --fleet-smoke
 #               Build, then run ONLY the fleet-dispatch smoke: a
 #               gpuperf-serve daemon with a shared store, 2 registered
@@ -130,7 +134,11 @@ smoke_expand() {
 # clients' stores), and every response must be byte-identical to the
 # reference — the response JSON carries no paths. With KILL_ONE=1 the
 # first worker is SIGKILLed while the clients are in flight: its cells
-# must be stolen back and re-dispatched, losing nothing. SIGTERM then
+# must be stolen back and re-dispatched, losing nothing. After that
+# concurrent pass every client re-sends its request once to the same
+# daemon, and each repeat's response is byte-diffed against the
+# reference as well: the exact-repeat path, where an executor
+# remembers a ref's profile key and runs no factory. SIGTERM then
 # exercises the graceful drain: the daemon must log its "served" line,
 # and STATS_GREP (a fixed string, "" for none) must appear in its log.
 # Artifacts land in <build-dir>/NAME/.
@@ -174,17 +182,25 @@ daemon_smoke() {
         --store "$SMOKE/store-ref"
     "$W" run "$SMOKE/request-ref.json" --out "$SMOKE/response-ref.json"
 
-    local CLIENT_PIDS=() CLIENT FLAGS WORD n=0
-    for CLIENT in "$@"; do
-        n=$((n + 1))
+    # Run client N (its `run` flags in CLIENT) to response-N$SUFFIX.json.
+    local CLIENT FLAGS WORD
+    run_client() {
+        local N="$1" SUFFIX="$2"
         FLAGS=()
         for WORD in $CLIENT; do
             FLAGS+=("$(smoke_expand "$WORD")")
         done
+        "$W" run "$SMOKE/request-$N.json" \
+            --out "$SMOKE/response-$N$SUFFIX.json" \
+            "${FLAGS[@]}" > "$SMOKE/client-$N$SUFFIX.log" 2>&1
+    }
+
+    local CLIENT_PIDS=() n=0
+    for CLIENT in "$@"; do
+        n=$((n + 1))
         "$W" demo-request --out "$SMOKE/request-$n.json" \
             --store "$SMOKE/store-$n"
-        "$W" run "$SMOKE/request-$n.json" --out "$SMOKE/response-$n.json" \
-            "${FLAGS[@]}" > "$SMOKE/client-$n.log" 2>&1 &
+        run_client "$n" "" &
         CLIENT_PIDS+=($!)
     done
 
@@ -200,6 +216,16 @@ daemon_smoke() {
     done
     for ((i = 1; i <= n; i++)); do
         diff "$SMOKE/response-ref.json" "$SMOKE/response-$i.json"
+    done
+
+    # Exact repeats: each client re-sends its request to the same
+    # daemon, whose executors now remember every ref's profile key, so
+    # these answers come from the store without running a factory.
+    i=0
+    for CLIENT in "$@"; do
+        i=$((i + 1))
+        run_client "$i" "-repeat"
+        diff "$SMOKE/response-ref.json" "$SMOKE/response-$i-repeat.json"
     done
 
     kill -TERM "$SERVE_PID"
@@ -219,8 +245,8 @@ daemon_smoke() {
             return 1
         }
     fi
-    echo "$NAME: $n concurrent client(s) over $WORKERS fleet worker(s)" \
-         "byte-identical to the in-process run"
+    echo "$NAME: $n concurrent client(s) over $WORKERS fleet worker(s)," \
+         "then one repeat each, byte-identical to the in-process run"
 }
 
 # Store-lifecycle end-to-end: corruption is quarantined and a legacy

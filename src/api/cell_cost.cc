@@ -23,10 +23,11 @@ warpsOf(const funcsim::LaunchConfig &cfg)
 }
 
 /**
- * Features of one KernelJob. Registry refs are materialized once to
- * read their launch shape — the result is cached per reference
- * identity, so a steady mix of known cases never rebuilds an input
- * image just to price a job.
+ * Features of one KernelJob. Registry refs are materialized to read
+ * their launch shape, and the result is cached per case identity
+ * (api/registry.h), so a steady mix of known cases never rebuilds an
+ * input image just to price a job, and a re-registered factory is
+ * priced from its new launch.
  */
 sched::CostFeatures
 jobFeatures(const KernelJob &job)
@@ -39,37 +40,37 @@ jobFeatures(const KernelJob &job)
         return f;
     }
 
-    std::string key = job.ref.factory;
-    for (int64_t a : job.ref.iargs)
-        key += "|" + std::to_string(a);
-    for (double a : job.ref.fargs) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "|%a", a);
-        key += buf;
+    driver::KernelCase kc;
+    try {
+        kc = materializeJob(job);
+    } catch (const std::exception &) {
+        // Unknown factory or bad arguments: the cell will fail at
+        // execution with a proper message; price it as trivial.
+        return f;
     }
 
     static std::mutex mutex;
     static std::map<std::string, sched::CostFeatures> cache;
     {
         std::lock_guard<std::mutex> lock(mutex);
-        auto it = cache.find(key);
+        auto it = cache.find(kc.identity);
         if (it != cache.end())
             return it->second;
     }
     try {
-        const driver::PreparedLaunch prepared =
-            materializeJob(job).make();
+        const driver::PreparedLaunch prepared = kc.make();
         f.warps = warpsOf(prepared.cfg);
         f.warpOps =
             f.warps * prepared.kernel.instructions().size();
     } catch (const std::exception &) {
-        // Unknown factory or bad arguments: the cell will fail at
-        // execution with a proper message; price it as trivial.
+        // A factory that rejects its arguments only when run: the
+        // cell fails the same way at execution; price it as trivial.
     }
     std::lock_guard<std::mutex> lock(mutex);
-    if (cache.size() >= kMaxCachedRefFeatures && !cache.count(key))
+    if (cache.size() >= kMaxCachedRefFeatures &&
+        !cache.count(kc.identity))
         cache.clear();
-    cache.emplace(key, f);
+    cache.emplace(kc.identity, f);
     return f;
 }
 

@@ -11,7 +11,8 @@
  * recorded. The static fallback reads the launch shape straight off
  * the request (instruction count x resident warps for inline
  * launches; registry refs are materialized once and their features
- * cached by reference identity, for at most kMaxCachedRefFeatures
+ * cached by case identity (api/registry.h, so re-registering a
+ * factory re-prices its refs), for at most kMaxCachedRefFeatures
  * refs before the cache starts over).
  */
 

@@ -1,5 +1,7 @@
 #include "api/registry.h"
 
+#include <cstdio>
+#include <cstring>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -15,7 +17,39 @@ struct Registry
 {
     std::mutex mutex;
     std::map<std::string, CaseFactory> factories;
+    /**
+     * Times each name was registered through registerCase(); absent
+     * (generation 0) for a built-in never replaced.
+     */
+    std::map<std::string, uint64_t> generations;
 };
+
+/**
+ * The identity materializeJob() gives a ref's case: an exact encoding
+ * of the factory name, its registration @p generation, every integer
+ * argument and the bits of every float argument (so 0.0 and -0.0, or
+ * two NaN payloads, stay apart). Distinct refs never share one, and a
+ * re-registered factory's cases never share the old factory's.
+ */
+std::string
+caseIdentity(const CaseRef &ref, uint64_t generation)
+{
+    std::string id = std::to_string(ref.factory.size()) + ":" +
+                     ref.factory + "|g" + std::to_string(generation) +
+                     "|i";
+    for (int64_t a : ref.iargs)
+        id += std::to_string(a) + ",";
+    id += "|f";
+    for (double a : ref.fargs) {
+        uint64_t bits;
+        std::memcpy(&bits, &a, sizeof(bits));
+        char buf[24];
+        std::snprintf(buf, sizeof(buf), "%016llx,",
+                      static_cast<unsigned long long>(bits));
+        id += buf;
+    }
+    return id;
+}
 
 /** Argument accessors that turn mistakes into cell failures. */
 int64_t
@@ -205,6 +239,7 @@ registerCase(const std::string &key, CaseFactory factory)
     Registry &r = registry();
     std::lock_guard<std::mutex> lock(r.mutex);
     r.factories[key] = std::move(factory);
+    ++r.generations[key];
 }
 
 bool
@@ -250,12 +285,17 @@ materializeJob(const KernelJob &job)
         return kc;
     }
     CaseFactory factory;
+    std::string identity;
     {
         Registry &r = registry();
         std::lock_guard<std::mutex> lock(r.mutex);
         const auto it = r.factories.find(job.ref.factory);
-        if (it != r.factories.end())
+        if (it != r.factories.end()) {
             factory = it->second;
+            const auto gen = r.generations.find(job.ref.factory);
+            identity = caseIdentity(
+                job.ref, gen == r.generations.end() ? 0 : gen->second);
+        }
     }
     if (!factory) {
         throw std::runtime_error("unknown case factory '" +
@@ -263,7 +303,9 @@ materializeJob(const KernelJob &job)
                                  "' (register it with "
                                  "api::registerCase)");
     }
-    return factory(job.ref, job.name);
+    driver::KernelCase kc = factory(job.ref, job.name);
+    kc.identity = std::move(identity);
+    return kc;
 }
 
 } // namespace api

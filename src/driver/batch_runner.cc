@@ -145,12 +145,13 @@ requireRepeatableFactory(const KernelCase &kc,
 }
 
 /**
- * One kernel case's factory output together with its profile key,
- * shared run-locally per (case position, funcsim fingerprint): the
- * factory runs ONCE whether a cell needs only the key (warm
- * result-store path) or the key and then, on a profile-store miss,
- * the launch itself — the profile build takes the stashed launch
- * instead of re-running the factory.
+ * One kernel case's profile key, with the factory output it was
+ * derived from, shared run-locally per (case position, funcsim
+ * fingerprint): the factory runs at most ONCE whether a cell needs
+ * only the key (warm result-store path) or the key and then, on a
+ * profile-store miss, the launch itself — the profile build takes the
+ * stashed launch instead of re-running the factory. A remembered key
+ * (BatchRunner::recallProfileKey) comes with no launch at all.
  */
 struct PreparedCase
 {
@@ -210,8 +211,8 @@ struct SpecSlot
 
 /**
  * Output of the prepare node for one (case, funcsim fingerprint):
- * the factory runs ONCE — sibling cells across spec variants reuse
- * the profile key, the stashed launch, and (the fix this slot
+ * the factory runs at most ONCE — sibling cells across spec variants
+ * reuse the profile key, the stashed launch, and (the fix this slot
  * exists for) a captured factory error, instead of paying a
  * rebuild-and-rethrow attempt per cell.
  */
@@ -372,6 +373,29 @@ BatchRunner::profileAwait(const funcsim::ProfileKey &key,
         [&] { return profileStore_->tryAcquireLease(key); },
         [&] { return profileStore_->readKey(key); }, lease,
         /*poll_ms=*/10);
+}
+
+bool
+BatchRunner::recallProfileKey(const std::string &memo_key,
+                              funcsim::ProfileKey *key)
+{
+    std::lock_guard<std::mutex> lock(rememberedMutex_);
+    const auto it = remembered_.find(memo_key);
+    if (it == remembered_.end())
+        return false;
+    *key = it->second;
+    return true;
+}
+
+void
+BatchRunner::rememberProfileKey(const std::string &memo_key,
+                                const funcsim::ProfileKey &key)
+{
+    std::lock_guard<std::mutex> lock(rememberedMutex_);
+    if (remembered_.size() >= kMaxRememberedKeys &&
+        !remembered_.count(memo_key))
+        remembered_.clear();
+    remembered_.emplace(memo_key, key);
 }
 
 std::shared_ptr<const timing::TimingResult>
@@ -615,10 +639,10 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
                             launch = std::move(pc->launch);
                         }
                         if (!launch) {
-                            // A finished sibling cell already
-                            // discarded the stash; rebuild, holding
-                            // the factory to its repeatability
-                            // contract.
+                            // The key was remembered, or a finished
+                            // sibling cell discarded the stash;
+                            // rebuild, holding the factory to its
+                            // repeatability contract.
                             launch = std::make_unique<PreparedLaunch>(
                                 makeLaunch(*kc));
                             requireRepeatableFactory(*kc, *launch,
@@ -720,21 +744,39 @@ BatchRunner::runStream(const std::vector<KernelCase> &kernels,
 
             // prepare(case, funcsim fp): the factory runs once per
             // distinct fingerprint; sibling cells reuse the key, the
-            // stashed launch AND a captured factory error.
-            const std::string pkey =
-                std::to_string(ki) + "#" +
+            // stashed launch AND a captured factory error. With a
+            // store, an identified case's key is remembered across
+            // batches under (identity, name, fp), and a repeat runs
+            // no factory here at all.
+            const std::string fp_key =
                 arch::FuncsimFingerprint::of(*spec).key();
+            const std::string pkey = std::to_string(ki) + "#" + fp_key;
             auto pit = prepared.find(pkey);
             if (pit == prepared.end()) {
                 auto pslot = std::make_shared<PreparedSlot>();
+                std::string memo_key;
+                if (resultStore_ && !kc->identity.empty()) {
+                    memo_key = std::to_string(kc->identity.size()) +
+                               ":" + kc->identity +
+                               std::to_string(kc->name.size()) + ":" +
+                               kc->name + fp_key;
+                }
                 const auto pid = graph.add(
-                    "prepare:" + kc->name, [kc, spec, pslot]() {
+                    "prepare:" + kc->name,
+                    [this, kc, spec, pslot, memo_key]() {
                         try {
                             auto pc = std::make_shared<PreparedCase>();
-                            pc->launch =
-                                std::make_unique<PreparedLaunch>(
-                                    makeLaunch(*kc));
-                            pc->key = profileKeyOf(*pc->launch, *spec);
+                            if (memo_key.empty() ||
+                                !recallProfileKey(memo_key, &pc->key)) {
+                                pc->launch =
+                                    std::make_unique<PreparedLaunch>(
+                                        makeLaunch(*kc));
+                                pc->key =
+                                    profileKeyOf(*pc->launch, *spec);
+                                if (!memo_key.empty())
+                                    rememberProfileKey(memo_key,
+                                                       pc->key);
+                            }
                             pslot->pc = std::move(pc);
                         } catch (...) {
                             pslot->error = std::current_exception();

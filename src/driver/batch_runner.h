@@ -16,7 +16,14 @@
  *    once ACROSS cooperating processes (the CalibrationStore lease);
  *  - one prepare(case, funcsim fp) node running the case's factory
  *    once — producing the profile key every sibling cell shares and
- *    capturing a factory error once for all of them;
+ *    capturing a factory error once for all of them. With a store, a
+ *    case that carries an identity (KernelCase::identity; every
+ *    registry ref does) has its key remembered by the runner, so an
+ *    exact repeat (same identity and name) runs no factory at all: a
+ *    warm cell is then one
+ *    result-store read, and a cell that misses takes the profile
+ *    node's usual path (profile-store load, else a factory rebuild
+ *    checked against the remembered key);
  *  - one profile(case, funcsim fp) node per needed profile, so an
  *    N x M batch runs N functional simulations instead of N x M (the
  *    paper's Section 5 what-if studies, which reuse one Barra run per
@@ -54,7 +61,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/once_map.h"
@@ -97,6 +106,16 @@ struct KernelCase
 {
     std::string name;
     std::function<PreparedLaunch()> make;
+    /**
+     * Optional promise that make() is a pure function of this string
+     * and name: cases with equal names and equal non-empty identities
+     * build equal launches, whenever they are built. A runner with a
+     * store remembers the profile key of an identified case, so
+     * repeating it builds no launch. Empty (the default, and every
+     * inline launch) promises nothing, and the factory runs on every
+     * evaluation.
+     */
+    std::string identity{};
 };
 
 /** Outcome of one kernel case on one spec variant. */
@@ -124,6 +143,13 @@ struct BatchResult
 class BatchRunner
 {
   public:
+    /**
+     * Remembered (case identity, name, funcsim fingerprint) profile
+     * keys held before a new one clears them all; a cleared case runs
+     * its factory once more on its next evaluation.
+     */
+    static constexpr size_t kMaxRememberedKeys = size_t{1} << 12;
+
     struct Options
     {
         /** Worker threads; 0 = one per hardware thread. */
@@ -352,6 +378,14 @@ class BatchRunner
     std::shared_ptr<const funcsim::KernelProfile>
     profileAwait(const funcsim::ProfileKey &key, store::Lease *lease);
 
+    /** The key remembered under @p memo_key, if any. */
+    bool recallProfileKey(const std::string &memo_key,
+                          funcsim::ProfileKey *key);
+
+    /** Remember @p key, clearing the memo when it is full. */
+    void rememberProfileKey(const std::string &memo_key,
+                            const funcsim::ProfileKey &key);
+
     Options options_;
     ThreadPool pool_;
 
@@ -381,6 +415,13 @@ class BatchRunner
      */
     OnceMap<std::string, std::shared_ptr<const timing::TimingResult>>
         timings_;
+    /**
+     * Profile keys of identified cases, by (identity, name, funcsim
+     * fingerprint); filled and read only with a store configured, and
+     * bounded by kMaxRememberedKeys.
+     */
+    std::mutex rememberedMutex_;
+    std::unordered_map<std::string, funcsim::ProfileKey> remembered_;
 };
 
 } // namespace driver

@@ -44,6 +44,21 @@ CalibrationStore::save(const arch::GpuSpec &spec,
                            kFormatVersion, key, w.bytes(), &counters_);
 }
 
+namespace {
+
+/** A .bench payload's entries; empty when it does not decode. */
+std::vector<CalibrationStore::BenchEntry>
+decodeBenchEntries(const std::string &payload)
+{
+    ByteReader r(payload);
+    std::vector<CalibrationStore::BenchEntry> entries;
+    if (!wire::decode(r, &entries) || !r.atEnd())
+        return {};
+    return entries;
+}
+
+} // namespace
+
 bool
 CalibrationStore::saveBenchResults(const arch::GpuSpec &spec,
                                    std::vector<BenchEntry> entries) const
@@ -51,25 +66,33 @@ CalibrationStore::saveBenchResults(const arch::GpuSpec &spec,
     // Merge with what is already stored so shapes measured by earlier
     // batches survive a batch that happened not to need them. It runs
     // on every save (a merge that adds nothing is a skipped write), so
-    // a shape lost to a racing saver's rename comes back.
-    std::vector<BenchEntry> merged = loadBenchResults(spec);
-    for (BenchEntry &e : entries) {
-        bool known = false;
-        for (const BenchEntry &m : merged) {
-            if (m.first == e.first) {
-                known = true;
-                break;
-            }
-        }
-        if (!known)
-            merged.push_back(std::move(e));
-    }
-
+    // a shape lost to a racing saver's rename comes back. One read of
+    // the file gives both the merge base and the skip's byte compare.
     const std::string key = "bench|" + spec.fingerprint();
-    ByteWriter w;
-    wire::encode(w, merged);
-    return writeStoreEntry(dir_, fileStem(spec.name, key) + ".bench",
-                           kFormatVersion, key, w.bytes(), &counters_);
+    std::string payload;
+    const auto merge = [&entries, &payload](
+                           const std::string *stored) -> const std::string & {
+        std::vector<BenchEntry> merged;
+        if (stored)
+            merged = decodeBenchEntries(*stored);
+        for (BenchEntry &e : entries) {
+            bool known = false;
+            for (const BenchEntry &m : merged) {
+                if (m.first == e.first) {
+                    known = true;
+                    break;
+                }
+            }
+            if (!known)
+                merged.push_back(std::move(e));
+        }
+        ByteWriter w;
+        wire::encode(w, merged);
+        payload = w.bytes();
+        return payload;
+    };
+    return updateStoreEntry(dir_, fileStem(spec.name, key) + ".bench",
+                            kFormatVersion, key, merge, &counters_);
 }
 
 std::string
@@ -101,11 +124,7 @@ CalibrationStore::loadBenchResults(const arch::GpuSpec &spec) const
                         kFormatVersion, key, &payload, &counters_)) {
         return {};
     }
-    ByteReader r(payload);
-    std::vector<BenchEntry> entries;
-    if (!wire::decode(r, &entries) || !r.atEnd())
-        return {};
-    return entries;
+    return decodeBenchEntries(payload);
 }
 
 } // namespace store

@@ -57,14 +57,15 @@ class CalibrationStore
      * for @p spec (the memoized half of calibration the tables do not
      * cover). Entries accumulate across saves: a batch that measured
      * new launch shapes merges them into the stored set, so repeated
-     * runs converge on zero microbenchmark work. A merge that adds no
-     * shape re-encodes exactly the stored bytes, and writeStoreEntry
-     * skips the write. The load-merge-write is not atomic across
-     * processes — two writers racing on one store can each persist
-     * only their own merge (last rename wins). The merge runs on
-     * every save, so a shape lost that way comes back with the
-     * loser's next save; meanwhile it costs a re-measurement, never
-     * wrong data.
+     * runs converge on zero microbenchmark work. The file is read
+     * once (updateStoreEntry) for both the merge base and the skip
+     * check: a merge that adds no shape re-encodes exactly the stored
+     * bytes, and the write is skipped. The load-merge-write is not
+     * atomic across processes — two writers racing on one store can
+     * each persist only their own merge (last rename wins). The merge
+     * runs on every save, so a shape lost that way comes back with
+     * the loser's next save; meanwhile it costs a re-measurement,
+     * never wrong data.
      */
     bool saveBenchResults(const arch::GpuSpec &spec,
                           std::vector<BenchEntry> entries) const;

@@ -50,11 +50,9 @@ void
 loadAccessIndexFile(const std::string &dir,
                     std::map<std::string, int64_t> *out)
 {
-    std::ifstream in(dir + "/" + kAccessIndexName, std::ios::binary);
-    if (!in)
+    std::string data;
+    if (!readWholeFile(dir + "/" + kAccessIndexName, &data))
         return;
-    std::string data((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
     ByteReader r(data);
     if (r.u32() != kAccessIndexVersion)
         return;
@@ -73,30 +71,6 @@ loadAccessIndexFile(const std::string &dir,
         if (it == out->end() || it->second < e.second)
             (*out)[e.first] = e.second;
     }
-}
-
-/**
- * True when @p path holds exactly the blob writeEntryFile() would
- * publish for (@p version, @p key, @p payload).
- */
-bool
-holdsEntryBlob(const std::string &path, uint32_t version,
-               const std::string &key, const std::string &payload,
-               StoreCounters *counters)
-{
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    if (!in)
-        return false; // absent, the cold case: no blob to build
-    const std::string blob = encodeEntryBlob(version, key, payload);
-    if (in.tellg() != static_cast<std::streamoff>(blob.size()))
-        return false;
-    std::string data(blob.size(), '\0');
-    in.seekg(0, std::ios::beg);
-    if (!in.read(&data[0], static_cast<std::streamsize>(data.size())))
-        return false;
-    if (counters)
-        counters->read(data.size());
-    return data == blob;
 }
 
 /**
@@ -335,17 +309,48 @@ storeEntryExists(const std::string &dir, const std::string &name,
 }
 
 bool
+updateStoreEntry(
+    const std::string &dir, const std::string &name, uint32_t version,
+    const std::string &key,
+    const std::function<const std::string &(const std::string *stored)>
+        &update,
+    StoreCounters *counters)
+{
+    const std::string path = dir + "/" + name;
+    std::string on_disk, stored_key, stored;
+    const bool present = readWholeFile(path, &on_disk);
+    if (present && counters)
+        counters->read(on_disk.size());
+    const bool valid =
+        present && parseEntryBlob(on_disk, version, &stored_key, &stored) &&
+        stored_key == key;
+    const std::string &payload = update(valid ? &stored : nullptr);
+    // The file is byte for byte the blob writeEntryFile() would
+    // publish exactly when it parsed to this key and payload with a
+    // checksum trailer (a legacy entry is one trailer short): no
+    // second blob to build, no second checksum pass.
+    if (valid && payload == stored &&
+        on_disk.size() ==
+            key.size() + payload.size() + kEntryFramingBytes) {
+        if (counters)
+            counters->skippedWrite();
+        recordAccess(dir, name);
+        return true;
+    }
+    return writeEntryFile(path, version, key, payload, counters);
+}
+
+bool
 writeStoreEntry(const std::string &dir, const std::string &name,
                 uint32_t version, const std::string &key,
                 const std::string &payload, StoreCounters *counters)
 {
-    const std::string path = dir + "/" + name;
-    if (!holdsEntryBlob(path, version, key, payload, counters))
-        return writeEntryFile(path, version, key, payload, counters);
-    if (counters)
-        counters->skippedWrite();
-    recordAccess(dir, name);
-    return true;
+    return updateStoreEntry(
+        dir, name, version, key,
+        [&payload](const std::string *) -> const std::string & {
+            return payload;
+        },
+        counters);
 }
 
 void

@@ -2,8 +2,8 @@
  * @file
  * Shared scaffolding for the store lifecycle subsystem (GC, verify,
  * usage telemetry): what KIND of file each name in a store directory
- * is, which subdirectories a store root owns, the three calls every
- * store reads and writes through, the last-access sidecar index the
+ * is, which subdirectories a store root owns, the calls every store
+ * reads and writes through, the last-access sidecar index the
  * GC's LRU runs on, and the disk-side usage scan that complements the
  * process-side StoreCounters.
  *
@@ -26,6 +26,7 @@
 #define GPUPERF_STORE_LIFECYCLE_LIFECYCLE_H
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -71,7 +72,7 @@ int64_t fileMtimeMs(const std::string &path);
 
 // --- Store reads and writes -------------------------------------------
 //
-// The three calls every store uses in place of bare readEntryFile /
+// The calls every store uses in place of bare readEntryFile /
 // readEntryHeader / writeEntryFile: the same read or write, plus
 // recordAccess() on a hit (or a skipped write) so the GC's LRU sees
 // it.
@@ -94,14 +95,29 @@ bool storeEntryExists(const std::string &dir, const std::string &name,
                       StoreCounters *counters = nullptr);
 
 /**
- * writeEntryFile() of @p dir/@p name, skipped when the file already
- * holds exactly the entry blob it would publish (same size, then a
- * full byte compare): a recompute that reproduces the stored bytes
- * republishes nothing, and the skip records the access instead, so
- * the GC's LRU order is what the rewrite would have left. A damaged,
- * legacy trailer-less or different entry never equals the blob and
- * is replaced. A skip counts the bytes it read and skippedWrite(),
- * no write; true when the entry is on disk afterwards.
+ * Publish the entry @p update makes of the stored payload, unless
+ * @p dir/@p name already holds exactly its bytes. Reads the file ONCE
+ * and passes @p update the stored payload (null when the file is
+ * absent, damaged or holds another key). @p update returns the
+ * payload by reference, valid until this call returns: a profile can
+ * be megabytes, and a copy per save raises peak memory. When the
+ * bytes read equal the entry blob of that payload, nothing is
+ * published: the skip counts skippedWrite() and records the access,
+ * so the GC's LRU order is what the rewrite would have left. A
+ * damaged, legacy trailer-less or different entry never equals the
+ * blob and is replaced (writeEntryFile()). The read counts its bytes
+ * either way; true when the entry is on disk afterwards.
+ */
+bool updateStoreEntry(
+    const std::string &dir, const std::string &name, uint32_t version,
+    const std::string &key,
+    const std::function<const std::string &(const std::string *stored)>
+        &update,
+    StoreCounters *counters = nullptr);
+
+/**
+ * updateStoreEntry() of a payload computed without the stored one: a
+ * recompute that reproduces the stored bytes republishes nothing.
  */
 bool writeStoreEntry(const std::string &dir, const std::string &name,
                      uint32_t version, const std::string &key,

@@ -5,7 +5,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 
 #include "store/lifecycle/lifecycle.h"
 #include "store/serializer.h"
@@ -32,17 +31,6 @@ isLegacySegmentName(const std::string &name)
            name.compare(0, kPrefix.size(), kPrefix) == 0 &&
            name.compare(name.size() - kSuffix.size(), kSuffix.size(),
                         kSuffix) == 0;
-}
-
-bool
-readWholeFile(const std::string &path, std::string *out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    out->assign((std::istreambuf_iterator<char>(in)),
-                std::istreambuf_iterator<char>());
-    return in.good() || in.eof();
 }
 
 /**

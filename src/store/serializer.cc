@@ -249,21 +249,27 @@ writeEntryFile(const std::string &path, uint32_t version,
 }
 
 bool
+readWholeFile(const std::string &path, std::string *out)
+{
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    if (!in)
+        return false;
+    const std::streamoff size = in.tellg();
+    if (size < 0)
+        return false;
+    out->assign(static_cast<size_t>(size), '\0');
+    in.seekg(0, std::ios::beg);
+    return static_cast<bool>(
+        in.read(&(*out)[0], static_cast<std::streamsize>(size)));
+}
+
+bool
 readEntryFile(const std::string &path, uint32_t version,
               const std::string &key, std::string *payload,
               StoreCounters *counters)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    in.seekg(0, std::ios::end);
-    const std::streamoff file_size = in.tellg();
-    if (file_size < 0)
-        return false;
-    in.seekg(0, std::ios::beg);
-    std::string data(static_cast<size_t>(file_size), '\0');
-    in.read(&data[0], file_size);
-    if (!in)
+    std::string data;
+    if (!readWholeFile(path, &data))
         return false;
     if (counters)
         counters->read(data.size());

@@ -101,6 +101,12 @@ class ByteReader
 constexpr size_t kChecksumTrailerBytes = 16;
 
 /**
+ * Bytes an entry blob holds besides its key and payload: magic,
+ * version, key and payload lengths, and the checksum trailer.
+ */
+constexpr size_t kEntryFramingBytes = 8 + 4 + 8 + 8 + kChecksumTrailerBytes;
+
+/**
  * Write magic + version + key + payload + checksum trailer to @p path
  * atomically (pid- and sequence-unique temp file + rename). Returns
  * false and warns on I/O failure — a store write error degrades to a
@@ -115,6 +121,9 @@ constexpr size_t kChecksumTrailerBytes = 16;
 bool writeEntryFile(const std::string &path, uint32_t version,
                     const std::string &key, const std::string &payload,
                     StoreCounters *counters = nullptr);
+
+/** The whole of @p path into @p out; false when it cannot be read. */
+bool readWholeFile(const std::string &path, std::string *out);
 
 /**
  * Read an entry previously written by writeEntryFile(). Returns false

@@ -162,9 +162,11 @@ class Binary
     {
         uint8_t v = static_cast<uint8_t>(e);
         io(v);
+        // Encoding only reads: another thread may be reading the same
+        // object (a writer node encodes a replay that cells analyze).
         if (v >= EnumWire<E>::kCount)
             fail();
-        else
+        else if constexpr (Reads)
             e = static_cast<E>(v);
     }
     template <class T>

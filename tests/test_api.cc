@@ -11,8 +11,10 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -26,6 +28,8 @@
 #include "driver/demo_cases.h"
 #include "isa/builder.h"
 #include "store/codecs.h"
+#include "store/lifecycle/lifecycle.h"
+#include "store/profile_store.h"
 #include "store/serializer.h"
 
 #include "reference_pipeline.h"
@@ -653,6 +657,287 @@ TEST(AnalysisServiceTest, BadJobsFailTheirCellsNotTheBatch)
             EXPECT_TRUE(cell.ok) << cell.error;
         }
     }
+}
+
+// --- Remembered profile keys ------------------------------------------
+
+/**
+ * y[i] = x[idx[i]] over 4 x 128 threads with idx[i] = (i * stride) % n:
+ * the kernel is fixed, and the input image alone decides how the
+ * loads of x coalesce.
+ */
+driver::PreparedLaunch
+gatherLaunch(int stride)
+{
+    const int n = 4 * 128;
+    auto gmem = std::make_unique<funcsim::GlobalMemory>(4 * n * 4 + 4096);
+    const uint64_t idx = gmem->alloc(static_cast<size_t>(n) * 4);
+    const uint64_t x = gmem->alloc(static_cast<size_t>(n) * 4);
+    const uint64_t y = gmem->alloc(static_cast<size_t>(n) * 4);
+    for (int i = 0; i < n; ++i) {
+        gmem->u32(idx)[i] = static_cast<uint32_t>((i * stride) % n);
+        gmem->f32(x)[i] = static_cast<float>(i);
+    }
+    isa::KernelBuilder b("gather");
+    isa::Reg tid = b.reg();
+    isa::Reg cta = b.reg();
+    isa::Reg ntid = b.reg();
+    isa::Reg gtid = b.reg();
+    isa::Reg off = b.reg();
+    isa::Reg addr = b.reg();
+    isa::Reg v = b.reg();
+    b.s2r(tid, isa::SpecialReg::kTid);
+    b.s2r(cta, isa::SpecialReg::kCtaid);
+    b.s2r(ntid, isa::SpecialReg::kNtid);
+    b.imad(gtid, cta, ntid, tid);
+    b.shlImm(off, gtid, 2);
+    b.iaddImm(addr, off, static_cast<int32_t>(idx));
+    b.ldg(v, addr);
+    b.shlImm(v, v, 2);
+    b.iaddImm(v, v, static_cast<int32_t>(x));
+    b.ldg(v, v);
+    b.iaddImm(addr, off, static_cast<int32_t>(y));
+    b.stg(addr, v);
+    driver::PreparedLaunch launch(b.build());
+    launch.gmem = std::move(gmem);
+    launch.cfg = funcsim::LaunchConfig{4, 128};
+    return launch;
+}
+
+/**
+ * Register @p factory as a counting wrapper: every case it makes
+ * builds gatherLaunch(@p stride), whatever the ref's arguments, and
+ * each launch built bumps the returned counter.
+ */
+std::shared_ptr<std::atomic<int>>
+registerCountingGather(const std::string &factory, int stride)
+{
+    auto runs = std::make_shared<std::atomic<int>>(0);
+    registerCase(factory, [runs, stride](const CaseRef &,
+                                         const std::string &name) {
+        driver::KernelCase kc;
+        kc.name = name;
+        kc.make = [runs, stride]() {
+            ++*runs;
+            return gatherLaunch(stride);
+        };
+        return kc;
+    });
+    return runs;
+}
+
+/** One job per salt, all named "g", of @p factory on gtx285. */
+AnalysisRequest
+gatherRequest(const std::string &factory, const std::string &store_dir,
+              std::vector<int64_t> salts = {0})
+{
+    AnalysisRequest req;
+    req.jobName = "gather";
+    for (int64_t salt : salts)
+        req.kernels.push_back(
+            KernelJob::fromRef("g", CaseRef{factory, {salt}, {}}));
+    req.specs.push_back(arch::GpuSpec::gtx285());
+    req.store.storeDir = store_dir;
+    req.exec.numThreads = 2;
+    return req;
+}
+
+TEST(RememberedKeyTest, ARepeatRunsEachRefsFactoryOnceInTotal)
+{
+    const auto coalesced = registerCountingGather("remember-a", 1);
+    const auto scattered = registerCountingGather("remember-b", 16);
+    AnalysisRequest req = testRequest();
+    req.kernels.push_back(KernelJob::fromRef(
+        "gather-a", CaseRef{"remember-a", {}, {}}));
+    req.kernels.push_back(KernelJob::fromRef(
+        "gather-b", CaseRef{"remember-b", {}, {2.5}}));
+    req.exec.numThreads = 4;
+    req.store.storeDir = freshDir("remember-repeat");
+    AnalysisService service;
+    adoptAll(service, req);
+
+    // Both specs share one funcsim fingerprint: one prepare per ref.
+    const AnalysisResponse first = service.run(req);
+    EXPECT_EQ(coalesced->load(), 1);
+    EXPECT_EQ(scattered->load(), 1);
+    for (int repeat = 0; repeat < 3; ++repeat)
+        expectEqual(service.run(req), first);
+    EXPECT_EQ(coalesced->load(), 1) << "a remembered ref builds nothing";
+    EXPECT_EQ(scattered->load(), 1);
+    EXPECT_EQ(service.executorFor(req).funcsimsComputed(),
+              req.kernels.size());
+}
+
+TEST(RememberedKeyTest, WithoutResultReuseTheProfileComesFromTheStore)
+{
+    const auto runs = registerCountingGather("remember-recompute", 1);
+    AnalysisRequest req =
+        gatherRequest("remember-recompute", freshDir("remember-recompute"));
+    req.store.reuseStoredResults = false;
+    AnalysisService service;
+    adoptAll(service, req);
+    const AnalysisResponse first = service.run(req);
+    driver::BatchRunner &executor = service.executorFor(req);
+    const uint64_t profile_hits = executor.profileStore()->hits();
+
+    expectEqual(service.run(req), first);
+    EXPECT_EQ(runs->load(), 1);
+    EXPECT_EQ(executor.funcsimsComputed(), 1u);
+    EXPECT_EQ(executor.profileStore()->hits(), profile_hits + 1)
+        << "the recomputed cell reads its profile from the store";
+}
+
+TEST(RememberedKeyTest, ALostProfileIsRebuiltAndCheckedAgainstTheKey)
+{
+    const auto runs = registerCountingGather("remember-lost", 1);
+    const std::string dir = freshDir("remember-lost");
+    AnalysisRequest req = gatherRequest("remember-lost", dir);
+    req.store.reuseStoredResults = false;
+    AnalysisService service;
+    adoptAll(service, req);
+    const AnalysisResponse first = service.run(req);
+    driver::BatchRunner &executor = service.executorFor(req);
+    ASSERT_EQ(executor.funcsimsComputed(), 1u);
+
+    for (const std::string &name : store::listDirFiles(dir + "/profiles"))
+        std::remove((dir + "/profiles/" + name).c_str());
+    expectEqual(service.run(req), first);
+    EXPECT_EQ(runs->load(), 2) << "the profile node rebuilt the launch";
+    EXPECT_EQ(executor.funcsimsComputed(), 2u);
+}
+
+TEST(RememberedKeyTest, AReRegisteredFactoryIsNeverServedTheOldKey)
+{
+    (void)registerCountingGather("remember-rereg", 1);
+    AnalysisRequest req =
+        gatherRequest("remember-rereg", freshDir("remember-rereg"));
+    AnalysisService service;
+    adoptAll(service, req);
+    const AnalysisResponse old_image = service.run(req);
+
+    // Same name, same kernel and ref, another input image.
+    const auto runs = registerCountingGather("remember-rereg", 16);
+    const AnalysisResponse got = service.run(req);
+    EXPECT_EQ(runs->load(), 1);
+
+    AnalysisRequest fresh_req = req;
+    fresh_req.store.storeDir = freshDir("remember-rereg-fresh");
+    AnalysisService fresh;
+    adoptAll(fresh, fresh_req);
+    const AnalysisResponse want = fresh.run(fresh_req);
+    expectEqual(got, want);
+    EXPECT_FALSE(responsesEqual(got, old_image))
+        << "the images coalesce differently, so the answers differ";
+}
+
+TEST(RememberedKeyTest, KeysAreRememberedPerJobName)
+{
+    // A launch may depend on the job name: the same ref under another
+    // name builds another input image.
+    auto runs = std::make_shared<std::atomic<int>>(0);
+    registerCase("remember-named", [runs](const CaseRef &,
+                                          const std::string &name) {
+        driver::KernelCase kc;
+        kc.name = name;
+        const int stride = name == "coalesced" ? 1 : 16;
+        kc.make = [runs, stride]() {
+            ++*runs;
+            return gatherLaunch(stride);
+        };
+        return kc;
+    });
+    const auto named = [](const std::string &name,
+                          const std::string &store_dir) {
+        AnalysisRequest req = gatherRequest("remember-named", store_dir);
+        req.kernels[0].name = name;
+        return req;
+    };
+    const std::string dir = freshDir("remember-named");
+    AnalysisService service;
+    adoptAll(service, named("coalesced", dir));
+    (void)service.run(named("coalesced", dir));
+    const AnalysisResponse got = service.run(named("scattered", dir));
+    EXPECT_EQ(runs->load(), 2) << "another name is another case";
+
+    const AnalysisRequest fresh_req =
+        named("scattered", freshDir("remember-named-fresh"));
+    AnalysisService fresh;
+    adoptAll(fresh, fresh_req);
+    expectEqual(got, fresh.run(fresh_req));
+}
+
+TEST(RememberedKeyTest, InlineJobsAndStorelessExecutorsRebuildEveryTime)
+{
+    EXPECT_TRUE(materializeJob(inlineSaxpyJob("inline")).identity.empty());
+    const driver::KernelCase ref_case =
+        materializeJob(KernelJob::fromRef("s", CaseRef{"saxpy", {2, 64}, {}}));
+    EXPECT_FALSE(ref_case.identity.empty());
+
+    // Without a store nothing is remembered.
+    const auto runs = registerCountingGather("remember-storeless", 1);
+    AnalysisRequest req = gatherRequest("remember-storeless", "");
+    AnalysisService service;
+    adoptAll(service, req);
+    const AnalysisResponse first = service.run(req);
+    expectEqual(service.run(req), first);
+    EXPECT_EQ(runs->load(), 2);
+
+    // A case without an identity (what an inline job becomes) runs
+    // its factory on every batch, store or not.
+    auto inline_runs = std::make_shared<std::atomic<int>>(0);
+    driver::KernelCase anonymous;
+    anonymous.name = "anonymous";
+    anonymous.make = [inline_runs]() {
+        ++*inline_runs;
+        return gatherLaunch(1);
+    };
+    driver::BatchRunner::Options opts;
+    opts.numThreads = 2;
+    opts.storeDir = freshDir("remember-anonymous");
+    driver::BatchRunner runner(opts);
+    runner.adoptCalibration(req.specs[0], sharedFakeTables());
+    const auto cold = runner.run({anonymous}, req.specs);
+    const auto warm = runner.run({anonymous}, req.specs);
+    expectEqual(asResponse(req, warm), asResponse(req, cold));
+    EXPECT_EQ(inline_runs->load(), 2);
+}
+
+TEST(RememberedKeyTest, OverflowClearsTheMemoAndAnswersStayCorrect)
+{
+    const auto runs = registerCountingGather("remember-overflow", 1);
+    const std::string dir = freshDir("remember-overflow");
+    AnalysisService service;
+    adoptAll(service, gatherRequest("remember-overflow", dir));
+    const auto run_salts = [&](std::vector<int64_t> salts) {
+        return service.run(gatherRequest("remember-overflow", dir,
+                                         std::move(salts)));
+    };
+    const AnalysisResponse one = run_salts({0});
+    ASSERT_TRUE(one.cells[0].ok) << one.cells[0].error;
+    ASSERT_EQ(runs->load(), 1);
+
+    // Every salt is its own ref with the same launch and job name, so
+    // each cell is a result-store hit: fill the memo to its bound.
+    const int64_t bound = driver::BatchRunner::kMaxRememberedKeys;
+    std::vector<int64_t> salts;
+    for (int64_t salt = 0; salt < bound; ++salt)
+        salts.push_back(salt);
+    const AnalysisResponse full = run_salts(salts);
+    ASSERT_EQ(full.cells.size(), salts.size());
+    for (const driver::BatchResult &cell : full.cells) {
+        AnalysisResponse single = one;
+        single.cells = {cell};
+        expectEqual(single, one);
+    }
+    EXPECT_EQ(runs->load(), bound);
+    expectEqual(run_salts({0}), one);
+    EXPECT_EQ(runs->load(), bound) << "salt 0 is still remembered";
+
+    // One key past the bound clears the memo: salt 0 builds again.
+    expectEqual(run_salts({bound}), one);
+    EXPECT_EQ(runs->load(), bound + 1);
+    expectEqual(run_salts({0}), one);
+    EXPECT_EQ(runs->load(), bound + 2);
 }
 
 TEST(AnalysisServiceTest, RejectsWrongSchemaVersion)

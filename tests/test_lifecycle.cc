@@ -204,6 +204,7 @@ TEST(Lifecycle, WriteStoreEntrySkipsOnlyByteIdenticalEntries)
     const std::string payload(300, 'r');
     const std::string blob =
         store::encodeEntryBlob(kTestVersion, "k", payload);
+    ASSERT_EQ(blob.size(), 1 + payload.size() + store::kEntryFramingBytes);
     store::StoreCounters counters;
 
     ASSERT_TRUE(store::writeStoreEntry(dir, name, kTestVersion, "k",

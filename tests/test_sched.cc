@@ -14,8 +14,10 @@
 #include <vector>
 
 #include "api/cell_cost.h"
+#include "api/registry.h"
 #include "api/request.h"
 #include "arch/gpu_spec.h"
+#include "driver/demo_cases.h"
 #include "sched/cost.h"
 #include "sched/policy.h"
 
@@ -156,6 +158,26 @@ TEST(CellCost, RefFeaturesAreTheSameAfterTheCacheIsCleared)
     const sched::CostFeatures after = api::cellCostFeatures(probe);
     EXPECT_EQ(after.warps, before.warps);
     EXPECT_EQ(after.warpOps, before.warpOps);
+}
+
+TEST(CellCost, AReRegisteredFactoryIsPricedFromItsNewLaunch)
+{
+    const auto register_saxpy = [](int grid) {
+        api::registerCase("cell-cost-rereg", [grid](const api::CaseRef &,
+                                                    const std::string &name) {
+            return driver::makeSaxpyCase(name, grid, 64, 2.0f);
+        });
+    };
+    api::AnalysisRequest req;
+    req.kernels.push_back(api::KernelJob::fromRef(
+        "probe", api::CaseRef{"cell-cost-rereg", {}, {}}));
+    req.specs.push_back(arch::GpuSpec::gtx285());
+
+    register_saxpy(3);
+    EXPECT_EQ(api::cellCostFeatures(req).warps, 6u); // 3 blocks x 2 warps
+    register_saxpy(5);
+    EXPECT_EQ(api::cellCostFeatures(req).warps, 10u)
+        << "the cached price of the replaced factory was served";
 }
 
 // --- PendingQueue policy ordering -------------------------------------

@@ -236,6 +236,54 @@ TEST(CalibrationStore, RoundTripsTablesExactly)
         << "calibration keys on the FULL spec fingerprint";
 }
 
+TEST(CalibrationStore, BenchSavesReadTheEntryOnceAndPublishOnlyNewShapes)
+{
+    const arch::GpuSpec spec = arch::GpuSpec::gtx285();
+    const std::string dir = freshDir("bench-save-once");
+    (void)::system(("rm -rf " + dir).c_str());
+    store::CalibrationStore cs(dir);
+    model::GlobalBenchResult measured;
+    measured.seconds = 1.5e-6;
+    measured.transactions = 96;
+    const store::CalibrationStore::BenchEntry first{{64, 4, 1}, measured};
+    ASSERT_TRUE(cs.saveBenchResults(spec, {first}));
+
+    std::string entry;
+    for (const std::string &name : store::listDirFiles(dir))
+        if (store::isEntryFileName(name))
+            entry = name;
+    ASSERT_FALSE(entry.empty());
+    const std::string path = dir + "/" + entry;
+    const auto inode = [&path] {
+        struct stat st;
+        EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+        return st.st_ino;
+    };
+    const ino_t published = inode();
+
+    // A save that adds no shape: one read gives the merge base and
+    // the byte compare, and nothing is renamed over the entry.
+    const store::StoreStats before = cs.stats();
+    ASSERT_TRUE(cs.saveBenchResults(spec, {first}));
+    store::StoreStats after = cs.stats();
+    EXPECT_EQ(after.bytesRead - before.bytesRead,
+              store::fileSizeOf(path));
+    EXPECT_EQ(after.writesSkipped - before.writesSkipped, 1u);
+    EXPECT_EQ(after.writes, before.writes);
+    EXPECT_EQ(inode(), published);
+
+    // A save that adds a shape publishes the union.
+    const store::CalibrationStore::BenchEntry second{{128, 8, 2},
+                                                     measured};
+    ASSERT_TRUE(cs.saveBenchResults(spec, {second}));
+    EXPECT_EQ(cs.stats().writes, after.writes + 1);
+    EXPECT_NE(inode(), published);
+    const auto stored = cs.loadBenchResults(spec);
+    ASSERT_EQ(stored.size(), 2u);
+    EXPECT_EQ(stored[0].first, first.first);
+    EXPECT_EQ(stored[1].first, second.first);
+}
+
 TEST(ResultStore, RoundTripsABatchResultBitExactly)
 {
     driver::BatchRunner runner;
