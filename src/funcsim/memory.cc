@@ -1,5 +1,8 @@
 #include "funcsim/memory.h"
 
+#include <stdexcept>
+#include <string>
+
 #include "common/fnv.h"
 
 namespace gpuperf {
@@ -9,7 +12,8 @@ GlobalMemory::GlobalMemory(size_t capacity)
     : data_(capacity, 0), next_(256)
 {
     if (capacity < 512)
-        fatal("global memory capacity %zu too small", capacity);
+        throw std::runtime_error("global memory capacity " +
+                                 std::to_string(capacity) + " too small");
 }
 
 uint64_t
@@ -19,8 +23,10 @@ GlobalMemory::alloc(size_t bytes, size_t align)
                    "alignment must be a power of two");
     size_t base = (next_ + align - 1) & ~(align - 1);
     if (base + bytes > data_.size())
-        fatal("device out of memory: want %zu B at %zu, capacity %zu",
-              bytes, base, data_.size());
+        throw std::runtime_error(
+            "device out of memory: want " + std::to_string(bytes) +
+            " B at " + std::to_string(base) + ", capacity " +
+            std::to_string(data_.size()));
     next_ = base + bytes;
     return base;
 }

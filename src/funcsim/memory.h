@@ -23,12 +23,19 @@ namespace funcsim {
 class GlobalMemory
 {
   public:
-    /** @param capacity total device memory in bytes. */
+    /**
+     * @param capacity total device memory in bytes.
+     * @throws std::runtime_error below 512 bytes.
+     */
     explicit GlobalMemory(size_t capacity);
 
     /**
      * Allocate @p bytes aligned to @p align (zero-initialized).
      * @return the device byte address of the allocation.
+     * @throws std::runtime_error ("device out of memory") when the
+     *         allocation overflows the image, so a case factory that
+     *         under-sizes its image fails its own cells, not the
+     *         process.
      */
     uint64_t alloc(size_t bytes, size_t align = 256);
 

@@ -77,22 +77,44 @@ Calibrator::sweepWarpCounts(const arch::GpuSpec &spec)
     return warps;
 }
 
-funcsim::LaunchConfig
-Calibrator::configForWarps(int warps) const
+std::vector<SweepLaunch>
+Calibrator::sweepLaunches(const arch::GpuSpec &spec)
 {
-    const arch::GpuSpec &spec = device_.spec();
+    // Large unroll keeps loop bookkeeping (4 type II ops/iteration)
+    // from polluting the measured type's throughput.
+    constexpr int kUnroll = 60;
+    constexpr int kIters = 8;
+    constexpr int kSharedIters = 400;
+    const uint64_t out_base = 4096;
+
     const int one_block_max = spec.maxThreadsPerBlock / spec.warpSize;
-    funcsim::LaunchConfig cfg;
-    if (warps <= one_block_max) {
-        cfg.gridDim = spec.numSms;
-        cfg.blockDim = warps * spec.warpSize;
-    } else {
-        GPUPERF_ASSERT(warps % 2 == 0,
-                       "odd warp counts above one block are unreachable");
-        cfg.gridDim = 2 * spec.numSms;
-        cfg.blockDim = warps / 2 * spec.warpSize;
+    std::vector<SweepLaunch> launches;
+    for (int w : sweepWarpCounts(spec)) {
+        // w warps per SM: one block of w warps on every SM, or two of
+        // w / 2 where one block cannot hold w warps.
+        funcsim::LaunchConfig cfg;
+        if (w <= one_block_max) {
+            cfg.gridDim = spec.numSms;
+            cfg.blockDim = w * spec.warpSize;
+        } else {
+            GPUPERF_ASSERT(w % 2 == 0, "odd warp counts above one "
+                                       "block are unreachable");
+            cfg.gridDim = 2 * spec.numSms;
+            cfg.blockDim = w / 2 * spec.warpSize;
+        }
+        // Each thread stores one word at out_base + 4 * global tid.
+        const size_t image = out_base + static_cast<size_t>(cfg.gridDim) *
+                                            cfg.blockDim * 4;
+        for (arch::InstrType type : arch::kAllInstrTypes) {
+            launches.push_back(
+                {makeInstructionBench(type, kUnroll, kIters, out_base),
+                 cfg, image, w, false, type});
+        }
+        launches.push_back(
+            {makeSharedCopyBench(cfg.blockDim, kSharedIters, out_base),
+             cfg, image, w, true});
     }
-    return cfg;
+    return launches;
 }
 
 void
@@ -103,45 +125,24 @@ Calibrator::calibrate()
     tables.maxWarps = spec.maxWarpsPerSm;
     tables.bytesPerPass = spec.sharedIssueGroup * spec.sharedBankWidth;
 
-    const auto warp_counts = sweepWarpCounts(spec);
     for (auto &t : tables.instrThroughput)
         t.assign(tables.maxWarps + 1, 0.0);
     tables.sharedPassThroughput.assign(tables.maxWarps + 1, 0.0);
 
-    // Large unroll keeps loop bookkeeping (4 type II ops/iteration)
-    // from polluting the measured type's throughput.
-    constexpr int kUnroll = 60;
-    constexpr int kIters = 8;
-    constexpr int kSharedIters = 400;
-    const size_t scratch = 8u << 20;
-    const uint64_t out_base = 4096;
-
-    for (int w : warp_counts) {
-        const funcsim::LaunchConfig cfg = configForWarps(w);
-        for (arch::InstrType type : arch::kAllInstrTypes) {
-            isa::Kernel k =
-                makeInstructionBench(type, kUnroll, kIters, out_base);
-            funcsim::GlobalMemory gmem(scratch);
-            gmem.alloc(static_cast<size_t>(cfg.gridDim) * cfg.blockDim * 4);
-            funcsim::RunOptions opts;
-            opts.homogeneous = true;
-            Measurement m = device_.run(k, cfg, gmem, opts);
-            const uint64_t count = m.stats.totalType(type);
-            GPUPERF_ASSERT(count > 0, "instruction bench executed nothing");
-            tables.instrThroughput[static_cast<int>(type)][w] =
-                count / m.seconds();
-        }
-        {
-            isa::Kernel k =
-                makeSharedCopyBench(cfg.blockDim, kSharedIters, out_base);
-            funcsim::GlobalMemory gmem(scratch);
-            gmem.alloc(static_cast<size_t>(cfg.gridDim) * cfg.blockDim * 4);
-            funcsim::RunOptions opts;
-            opts.homogeneous = true;
-            Measurement m = device_.run(k, cfg, gmem, opts);
+    for (const SweepLaunch &launch : sweepLaunches(spec)) {
+        funcsim::GlobalMemory gmem(launch.imageBytes);
+        funcsim::RunOptions opts;
+        opts.homogeneous = true;
+        Measurement m = device_.run(launch.kernel, launch.cfg, gmem, opts);
+        if (launch.shared) {
             const uint64_t passes = m.stats.totalSharedTransactions();
             GPUPERF_ASSERT(passes > 0, "shared bench executed nothing");
-            tables.sharedPassThroughput[w] = passes / m.seconds();
+            tables.sharedPassThroughput[launch.warps] = passes / m.seconds();
+        } else {
+            const uint64_t count = m.stats.totalType(launch.type);
+            GPUPERF_ASSERT(count > 0, "instruction bench executed nothing");
+            tables.instrThroughput[static_cast<int>(launch.type)]
+                                  [launch.warps] = count / m.seconds();
         }
     }
 

@@ -60,6 +60,21 @@ struct GlobalBenchResult
     double xactThroughput = 0.0;
 };
 
+/** One launch of the instruction/shared-memory sweep. */
+struct SweepLaunch
+{
+    isa::Kernel kernel;
+    funcsim::LaunchConfig cfg;
+    /** Memory image it needs: its output ends at this byte. */
+    size_t imageBytes = 0;
+    /** Warps per SM it realizes. */
+    int warps = 0;
+    /** The shared-memory copy bench, else the instruction bench of
+     *  @c type. */
+    bool shared = false;
+    arch::InstrType type = arch::InstrType::TypeI;
+};
+
 /**
  * Thread-safe compute-once memo of synthetic global-benchmark
  * results, keyed by (blocks, threads/block, requests/thread) and
@@ -141,10 +156,11 @@ class Calibrator
     /** Warp counts the instruction/shared sweep samples. */
     static std::vector<int> sweepWarpCounts(const arch::GpuSpec &spec);
 
-  private:
-    /** Launch shape realizing @p warps warps per SM. */
-    funcsim::LaunchConfig configForWarps(int warps) const;
+    /** Every launch of the instruction/shared sweep, in run order. */
+    static std::vector<SweepLaunch> sweepLaunches(
+        const arch::GpuSpec &spec);
 
+  private:
     void calibrate();
 
     SimulatedDevice &device_;

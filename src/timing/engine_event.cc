@@ -57,6 +57,31 @@
  * release reads (members' in-order and shared-drain times) is only
  * written by issues, so eager processing observes exactly what the
  * legacy engine's next scan would have observed.
+ *
+ * Cluster-symmetric launches replay one cluster. Clusters share
+ * nothing but the global block queue: each owns its memory port and
+ * texture cache, and an SM's issue times depend only on SM-local
+ * state. When clusterSymmetric() holds —
+ *
+ *  1. the machine has more than one cluster,
+ *  2. the grid is a whole multiple of numSms with at most
+ *     residentBlocks blocks per SM, so the round-robin placement gives
+ *     every SM the same number of blocks at time 0 and no block is
+ *     ever pulled from the queue later, and
+ *  3. every block lists block 0's warp traces and none is empty (an
+ *     all-empty block would free its slot and pull the next block) —
+ *
+ * every cluster starts from the same state and touches nothing of the
+ * others', so each replays cluster 0's events at the same times. The
+ * engine then replays cluster 0 alone: its end time is the launch's,
+ * and operation and texture counts scale by the cluster count. The
+ * busy-cycle sums are floating point, so their order matters: the full
+ * replay issues in (time, SM index) order, which at each issue time
+ * visits cluster 0's issuing SMs, then cluster 1's same SMs, and so
+ * on. BusySum holds one issue time's increments and adds them
+ * cluster-count times in a row, so every TimingResult field stays
+ * bit-identical to the full replay (pinned against the legacy engine,
+ * which always replays every SM, by tests/test_timing_engine.cc).
  */
 
 #include <algorithm>
@@ -139,6 +164,53 @@ struct ClusterCtx
     double portBusy = 0.0;
     TextureCache *tex = nullptr;
 };
+
+/**
+ * A busy-cycle total summed in the full replay's order. A full replay
+ * adds each increment as it issues. A one-cluster replay standing for
+ * @c copies clusters holds the current issue time's increments, and
+ * endStep() adds them @c copies times in a row (see the file comment).
+ */
+class BusySum
+{
+  public:
+    void setCopies(int copies) { copies_ = copies; }
+
+    void add(double cycles)
+    {
+        if (copies_ == 1)
+            total_ += cycles;
+        else
+            step_.push_back(cycles);
+    }
+
+    void endStep()
+    {
+        for (int c = 0; c < copies_; ++c) {
+            for (double cycles : step_)
+                total_ += cycles;
+        }
+        step_.clear();
+    }
+
+    double total() const { return total_; }
+
+  private:
+    int copies_ = 1;
+    double total_ = 0.0;
+    std::vector<double> step_;
+};
+
+/** The kernel's occupancy on @p spec, from the trace's resources. */
+arch::Occupancy
+occupancyOf(const arch::GpuSpec &spec, const LaunchTrace &trace)
+{
+    arch::KernelResources res;
+    res.registersPerThread = trace.registersPerThread;
+    res.sharedBytesPerBlock = trace.sharedBytesPerBlock;
+    res.threadsPerBlock = trace.blockDim;
+    return arch::computeOccupancy(spec, res);
+}
 
 /** Set a bit in a position mask, growing it as needed. */
 inline void
@@ -400,6 +472,14 @@ class EventEngine
 
     void finishWarp(SmCtx &sm, int wi);
 
+    /** Close the busy-cycle step of issue time stepTime_. */
+    void endStep()
+    {
+        arithCycles_.endStep();
+        sharedCycles_.endStep();
+        portCycles_.endStep();
+    }
+
     const arch::GpuSpec &spec_;
     const LaunchTrace &trace_;
 
@@ -414,6 +494,14 @@ class EventEngine
 
     double endTime_ = 0.0;
     TimingResult result_;
+
+    /** Clusters the replayed one stands for (1: a full replay). */
+    int copies_ = 1;
+    /** Issue time of the busy-cycle step being collected. */
+    double stepTime_ = 0.0;
+    BusySum arithCycles_;
+    BusySum sharedCycles_;
+    BusySum portCycles_;
 
     /** Per-call scratch of nextCandidate (single-threaded engine). */
     std::vector<uint64_t> tieMask_;
@@ -784,7 +872,8 @@ EventEngine::issue(SmCtx &sm, int wi, double t)
     // (max(readiness, class busy clock) — the candidate's invariant,
     // cross-checked against a fresh recomputation in debug builds),
     // so the update arithmetic below starts from it directly. It is
-    // kept textually identical to engine_legacy.cc otherwise —
+    // kept textually identical to engine_legacy.cc otherwise (busy
+    // cycles go to BusySum steps, which add them in the same order) —
     // bit-identity depends on it.
     double dst_ready = t;
     switch (op.unit) {
@@ -795,7 +884,7 @@ EventEngine::issue(SmCtx &sm, int wi, double t)
         const int type_idx = static_cast<int>(op.unit);
         const double occ = arithOcc_[type_idx];
         sm.arithBusy = t + occ;
-        result_.arithBusyCycles += occ;
+        arithCycles_.add(occ);
         double latency = std::max<double>(spec_.aluDepCycles, occ);
         if (op.sharedPasses > 0) {
             // A shared operand occupies the shared pipeline too and the
@@ -804,7 +893,7 @@ EventEngine::issue(SmCtx &sm, int wi, double t)
             sm.sharedBusy = t + shared_occ;
             w.sharedNext =
                 t + op.sharedPasses * spec_.warpSharedPassIntervalCycles;
-            result_.sharedBusyCycles += shared_occ;
+            sharedCycles_.add(shared_occ);
             latency = std::max<double>(latency, spec_.sharedDepCycles);
         }
         dst_ready = t + latency;
@@ -816,7 +905,7 @@ EventEngine::issue(SmCtx &sm, int wi, double t)
         sm.sharedBusy = t + occ;
         w.sharedNext =
             t + op.conflict * spec_.warpSharedPassIntervalCycles;
-        result_.sharedBusyCycles += occ;
+        sharedCycles_.add(occ);
         dst_ready = t + std::max<double>(spec_.sharedDepCycles, occ);
         if (!op.dst) {
             // Store: barriers must see it complete.
@@ -831,7 +920,7 @@ EventEngine::issue(SmCtx &sm, int wi, double t)
             op.numXacts * spec_.transactionOverheadCycles +
             op.xactBytes / clusterRate_;
         cluster.portBusy = start + service;
-        result_.portBusyCycles += service;
+        portCycles_.add(service);
         endTime_ = std::max(endTime_, cluster.portBusy);
         dst_ready = cluster.portBusy + spec_.globalLatencyCycles;
         if (op.unit == UnitKind::kGlobalStore) {
@@ -862,7 +951,7 @@ EventEngine::issue(SmCtx &sm, int wi, double t)
                 misses * spec_.transactionOverheadCycles +
                 miss_bytes / clusterRate_;
             cluster.portBusy = start + service;
-            result_.portBusyCycles += service;
+            portCycles_.add(service);
             endTime_ = std::max(endTime_, cluster.portBusy);
             dst_ready = cluster.portBusy + spec_.globalLatencyCycles;
         } else {
@@ -903,15 +992,18 @@ EventEngine::run()
     if (grid == 0)
         fatal("timing: empty launch trace");
 
-    arch::KernelResources res;
-    res.registersPerThread = trace_.registersPerThread;
-    res.sharedBytesPerBlock = trace_.sharedBytesPerBlock;
-    res.threadsPerBlock = trace_.blockDim;
-    result_.occupancy = arch::computeOccupancy(spec_, res);
+    result_.occupancy = occupancyOf(spec_, trace_);
     const int max_resident = result_.occupancy.residentBlocks;
 
-    sms_.resize(spec_.numSms);
-    clusters_.resize(spec_.numClusters());
+    // A cluster-symmetric launch replays cluster 0 only; the others
+    // would replay the same events (see the file comment).
+    const int clusters = spec_.numClusters();
+    copies_ = clusterSymmetric(spec_, trace_) ? clusters : 1;
+    for (BusySum *sum : {&arithCycles_, &sharedCycles_, &portCycles_})
+        sum->setCopies(copies_);
+    const int replayed_sms = spec_.numSms / copies_;
+    sms_.resize(replayed_sms);
+    clusters_.resize(clusters / copies_);
     texStorage_.clear();
     texStorage_.reserve(clusters_.size());
     for (size_t c = 0; c < clusters_.size(); ++c) {
@@ -920,19 +1012,23 @@ EventEngine::run()
                                  spec_.textureCacheWays);
         clusters_[c].tex = &texStorage_[c];
     }
-    for (int i = 0; i < spec_.numSms; ++i)
+    for (int i = 0; i < replayed_sms; ++i)
         sms_[i].cluster = i / spec_.smsPerCluster;
 
     // Initial distribution: uniform round-robin across CLUSTERS first
     // (then across the SMs within each cluster), exactly as in the
-    // legacy engine.
+    // legacy engine. A block bound for a cluster that is not replayed
+    // is only counted.
     std::vector<int> sm_order(spec_.numSms);
-    const int clusters = spec_.numClusters();
     for (int i = 0; i < spec_.numSms; ++i)
         sm_order[i] = (i % clusters) * spec_.smsPerCluster + i / clusters;
     nextBlock_ = 0;
     for (int round = 0; round < max_resident; ++round) {
         for (int i = 0; i < spec_.numSms && nextBlock_ < grid; ++i) {
+            if (sm_order[i] >= replayed_sms) {
+                ++nextBlock_;
+                continue;
+            }
             SmCtx &sm = sms_[sm_order[i]];
             if (sm.residentBlocks < max_resident)
                 placeBlock(sm, nextBlock_++, 0.0);
@@ -947,7 +1043,7 @@ EventEngine::run()
     // only completions). Debug builds re-derive and cross-check it at
     // every selection.
     SmTournament tournament;
-    tournament.init(spec_.numSms);
+    tournament.init(replayed_sms);
     auto refreshCandidate = [&](int s) {
         SmCtx &sm = sms_[s];
         int warp = -1;
@@ -959,7 +1055,7 @@ EventEngine::run()
         }
         tournament.set(s, t);
     };
-    for (int s = 0; s < spec_.numSms; ++s) {
+    for (int s = 0; s < replayed_sms; ++s) {
         // Initial barrier releases in SM order, matching the legacy
         // engine's first per-SM candidate scans (they consume the
         // global block queue in this order).
@@ -980,9 +1076,16 @@ EventEngine::run()
                            "cached SM candidate diverged from fresh");
         }
 #endif
+        // Issues arrive in (time, SM) order: a new time closes the
+        // previous time's busy-cycle step.
+        if (sm.candT != stepTime_) {
+            endStep();
+            stepTime_ = sm.candT;
+        }
         issue(sm, sm.candWarp, sm.candT);  // invalidates the cache
         refreshCandidate(s);
     }
+    endStep();
 
     // Sanity: everything must have completed.
     for (const SmCtx &sm : sms_) {
@@ -996,14 +1099,40 @@ EventEngine::run()
 
     result_.cycles = endTime_;
     result_.seconds = endTime_ / spec_.coreClockHz;
+    result_.totalOps *= static_cast<uint64_t>(copies_);
+    result_.arithBusyCycles = arithCycles_.total();
+    result_.sharedBusyCycles = sharedCycles_.total();
+    result_.portBusyCycles = portCycles_.total();
     for (const auto &tc : texStorage_) {
-        result_.texHits += tc.hits();
-        result_.texMisses += tc.misses();
+        result_.texHits += tc.hits() * copies_;
+        result_.texMisses += tc.misses() * copies_;
     }
     return result_;
 }
 
 } // namespace
+
+bool
+clusterSymmetric(const arch::GpuSpec &spec,
+                 const funcsim::LaunchTrace &trace)
+{
+    const int grid = static_cast<int>(trace.blocks.size());
+    if (spec.numClusters() < 2 || grid == 0 || grid % spec.numSms != 0 ||
+        grid / spec.numSms > occupancyOf(spec, trace).residentBlocks)
+        return false;
+    const std::vector<int> &warps = trace.blocks[0].warpTraceIdx;
+    if (warps.empty())
+        return false;
+    for (int idx : warps) {
+        if (trace.pool[idx].ops.empty())
+            return false;
+    }
+    for (const funcsim::BlockTrace &block : trace.blocks) {
+        if (block.warpTraceIdx != warps)
+            return false;
+    }
+    return true;
+}
 
 TimingResult
 replayEventDriven(const arch::GpuSpec &spec,

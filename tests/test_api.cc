@@ -659,6 +659,63 @@ TEST(AnalysisServiceTest, BadJobsFailTheirCellsNotTheBatch)
     }
 }
 
+TEST(AnalysisServiceTest, AnOverflowingImageFailsItsCellsNotTheProcess)
+{
+    // One factory allocates past the end of its image, another builds
+    // an image below the minimum size: both throw from make(), inside
+    // the batch, where an exit would end a daemon or fleet worker.
+    registerCase("overflowing-image", [](const CaseRef &,
+                                         const std::string &name) {
+        driver::KernelCase kc = driver::makeSaxpyCase(name, 2, 64, 2.0f);
+        kc.make = [saxpy = kc.make]() {
+            driver::PreparedLaunch launch = saxpy();
+            (void)launch.gmem->alloc(2u << 20);  // 1 MiB is free
+            return launch;
+        };
+        return kc;
+    });
+    registerCase("tiny-image", [](const CaseRef &,
+                                  const std::string &name) {
+        driver::KernelCase kc = driver::makeSaxpyCase(name, 2, 64, 2.0f);
+        kc.make = [saxpy = kc.make]() {
+            driver::PreparedLaunch launch = saxpy();
+            launch.gmem = std::make_unique<funcsim::GlobalMemory>(64);
+            return launch;
+        };
+        return kc;
+    });
+    AnalysisRequest req = testRequest();
+    req.kernels.push_back(KernelJob::fromRef(
+        "overflowing", CaseRef{"overflowing-image", {}, {}}));
+    req.kernels.push_back(
+        KernelJob::fromRef("tiny", CaseRef{"tiny-image", {}, {}}));
+    AnalysisService service;
+    adoptAll(service, req);
+    const AnalysisResponse resp = service.run(req);
+    ASSERT_EQ(resp.cells.size(), req.kernels.size() * req.specs.size());
+    for (const driver::BatchResult &cell : resp.cells) {
+        if (cell.kernelName == "overflowing") {
+            EXPECT_FALSE(cell.ok);
+            EXPECT_NE(cell.error.find("device out of memory"),
+                      std::string::npos)
+                << cell.error;
+        } else if (cell.kernelName == "tiny") {
+            EXPECT_FALSE(cell.ok);
+            EXPECT_NE(cell.error.find("too small"), std::string::npos)
+                << cell.error;
+        } else {
+            EXPECT_TRUE(cell.ok) << cell.error;
+        }
+    }
+
+    // The same service answers the next request in full.
+    const AnalysisRequest next = testRequest();
+    const AnalysisResponse after = service.run(next);
+    ASSERT_EQ(after.cells.size(), next.kernels.size() * next.specs.size());
+    for (const driver::BatchResult &cell : after.cells)
+        EXPECT_TRUE(cell.ok) << cell.kernelName << ": " << cell.error;
+}
+
 // --- Remembered profile keys ------------------------------------------
 
 /**

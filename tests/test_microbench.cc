@@ -2,13 +2,17 @@
  * @file
  * Microbenchmark-generator tests: the benches execute the instruction
  * mixes they claim, with the access patterns the calibration relies
- * on (conflict-free shared copies, fully coalesced streams).
+ * on (conflict-free shared copies, fully coalesced streams), and the
+ * calibration they feed is pinned by its digest.
  */
 
 #include <gtest/gtest.h>
 
 #include "funcsim/interpreter.h"
+#include "model/calibration.h"
+#include "model/device.h"
 #include "model/microbench.h"
+#include "store/codecs.h"
 
 namespace gpuperf {
 namespace model {
@@ -90,6 +94,23 @@ TEST(GlobalBench, RespectsBufferBounds)
     funcsim::RunOptions opts;
     opts.homogeneous = true;
     EXPECT_NO_FATAL_FAILURE(sim.run(k, {30, 64}, gmem, opts));
+}
+
+TEST(Calibration, PresetsCalibrateToThePinnedTables)
+{
+    // The four presets calibrate to identical tables. The digest pins
+    // every entry bit for bit, whichever replay path times the sweep's
+    // launches.
+    for (const arch::GpuSpec &s :
+         {arch::GpuSpec::gtx285(), arch::GpuSpec::gtx285MoreBlocks(),
+          arch::GpuSpec::gtx285BigResources(),
+          arch::GpuSpec::gtx285PrimeBanks()}) {
+        SimulatedDevice device(s);
+        Calibrator calibrator(device);
+        EXPECT_EQ(store::tablesDigest(calibrator.tables()),
+                  0x30b21c58bfa31565ull)
+            << s.name;
+    }
 }
 
 TEST(MicrobenchDeath, BadArguments)
