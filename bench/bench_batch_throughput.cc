@@ -230,7 +230,11 @@ main(int argc, char **argv)
     // table set.
     std::cout << "calibrating " << spec.name
               << " (stored across bench runs)...\n";
-    const auto tables = bench::cachedSessionConfig(spec).tables;
+    driver::BatchRunner::Options store_opts;
+    store_opts.numThreads = 1;
+    store_opts.storeDir = "bench_store";
+    const auto tables =
+        driver::BatchRunner(store_opts).calibrationFor(spec);
 
     api::AnalysisRequest base;
     base.jobName = "bench-batch-throughput";

@@ -1,11 +1,12 @@
 /**
  * @file
- * Shared helpers for the table/figure regeneration harnesses.
+ * Shared helpers for the throughput, latency and scheduling benches:
+ * --full/--csv parsing, table output and latency percentiles.
  *
- * Each bench binary reproduces one table or figure of the paper and
- * prints the same rows/series the paper reports. Binaries accept:
- *   --full   paper-scale problem sizes (slower)
- *   --csv    machine-readable output
+ * The paper's tables and figures are not benches: tests/test_paper.cc
+ * asserts their claims, and a paper-scale run is a JSON request naming
+ * the `gemm`, `cyclic-reduction` or `spmv` factory, sent to
+ * `gpuperf-worker run`.
  */
 
 #ifndef GPUPERF_BENCH_BENCH_COMMON_H
@@ -19,8 +20,6 @@
 #include <vector>
 
 #include "common/table.h"
-#include "driver/batch_runner.h"
-#include "model/session.h"
 
 namespace gpuperf {
 namespace bench {
@@ -123,22 +122,6 @@ struct LatencyBreakdown
                ", \"large\": " + latencyClassJson(largeMs) + "}";
     }
 };
-
-/**
- * Session config adopting @p spec's calibration from the store
- * directory every bench binary shares (calibrating and saving it on
- * the first run from a working directory).
- */
-inline model::SessionConfig
-cachedSessionConfig(const arch::GpuSpec &spec)
-{
-    driver::BatchRunner::Options opts;
-    opts.numThreads = 1;
-    opts.storeDir = "bench_store";
-    model::SessionConfig config;
-    config.tables = driver::BatchRunner(opts).calibrationFor(spec);
-    return config;
-}
 
 } // namespace bench
 } // namespace gpuperf

@@ -68,7 +68,10 @@ cellFailureResponse(const AnalysisRequest &cell, const std::string &error)
 
 Dispatcher::Dispatcher(AnalysisService &local, DispatchOptions opts)
     : local_(local), opts_(opts),
-      queue_(sched::PendingQueue<Job *>(opts.policy))
+      queue_(opts.policy, 0.0,
+             [this](Job *const &job) {
+                 return costModel_.estimate(job->costKey, job->features);
+             })
 {
 }
 

@@ -261,7 +261,9 @@ class Dispatcher
     std::vector<WorkerStat> dead_workers_;
     std::map<uint64_t, Job *> jobs_; ///< every un-retired job, by id
     /** Unassigned jobs, ordered by opts_.policy (crash-stolen jobs
-     *  re-enter urgent, FIFO ahead of everything). */
+     *  re-enter urgent, FIFO ahead of everything). sjf and
+     *  biggest-first re-price every waiting job through costModel_ at
+     *  each pick; FIFO never consults it. */
     sched::PendingQueue<Job *> queue_;
     /** In-process cost history driving queue_'s predictions. */
     sched::CostModel costModel_;

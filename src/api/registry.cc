@@ -118,6 +118,14 @@ requireSaneProduct(int64_t a, int64_t b, const char *what)
                                  " is unreasonably large");
 }
 
+bool
+flag(int64_t v, const char *what)
+{
+    if (v != 0 && v != 1)
+        throw std::runtime_error(std::string(what) + " must be 0 or 1");
+    return v == 1;
+}
+
 void
 registerBuiltinCases(Registry &r)
 {
@@ -217,6 +225,59 @@ registerBuiltinCases(Registry &r)
                            "block * bins (shared bytes)");
         return driver::makeHistogramCase(name, grid, block, bins,
                                          items);
+    };
+
+    // The paper's three case studies (Section 5), at the sizes a ref
+    // names; flags are 0 or 1.
+    r.factories["gemm"] = [](const CaseRef &ref,
+                             const std::string &name) {
+        const int size = narrow(iarg(ref, 0, 0, 2), "size");
+        const int tile = narrow(iarg(ref, 1, 0, 2), "tile");
+        requirePowerOfTwo(size, "size");
+        if (size < 64)
+            throw std::runtime_error("size must be at least 64");
+        if (tile != 8 && tile != 16 && tile != 32)
+            throw std::runtime_error("tile must be 8, 16 or 32");
+        requireSaneProduct(size, size, "size * size (elements)");
+        return driver::makeGemmCase(name, size, tile);
+    };
+    r.factories["cyclic-reduction"] = [](const CaseRef &ref,
+                                         const std::string &name) {
+        const int n = narrow(iarg(ref, 0, 0, 2), "n");
+        const int systems = narrow(iarg(ref, 1, 0, 2), "systems");
+        const bool padded = flag(iarg(ref, 2, 0, 2), "padded");
+        const bool forward = flag(iarg(ref, 3, 0, 2), "forward-only");
+        requirePowerOfTwo(n, "n");
+        // Five n-float arrays per block: beyond 512 equations they
+        // outgrow a GT200 SM's 16 KB of shared memory.
+        if (n < 4 || n > 512)
+            throw std::runtime_error("n must be in [4, 512]");
+        if (padded && n % 16 != 0)
+            throw std::runtime_error(
+                "padding needs n to be a multiple of 16");
+        requirePositive(systems, "systems");
+        requireSaneProduct(n, systems, "n * systems (equations)");
+        return driver::makeCyclicReductionCase(name, n, systems, padded,
+                                               forward);
+    };
+    r.factories["spmv"] = [](const CaseRef &ref,
+                             const std::string &name) {
+        // Format codes follow apps::SpmvFormat: 0 ELL, 1 BELL,
+        // 2 BELL+IM, 3 BELL+IMIV.
+        const int64_t format = iarg(ref, 0, 0, 2);
+        const int rows = narrow(iarg(ref, 1, 0, 2), "block-rows");
+        const bool texture = flag(iarg(ref, 2, 0, 2), "texture");
+        if (format < 0 ||
+            format > static_cast<int64_t>(apps::SpmvFormat::kBellImIv))
+            throw std::runtime_error("unknown SpMV format " +
+                                     std::to_string(format));
+        if (rows < 13)
+            throw std::runtime_error(
+                "block-rows must be at least 13 (13 blocks per row)");
+        requireSaneProduct(rows, 13 * 9,
+                           "block-rows * 117 (entries)");
+        return driver::makeSpmvCase(
+            name, static_cast<apps::SpmvFormat>(format), rows, texture);
     };
 }
 

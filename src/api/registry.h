@@ -7,8 +7,10 @@
  * named, instead of shipping megabytes of instructions and memory.
  *
  * Built-in factories (see registerBuiltinCases() for the argument
- * lists) cover every demo workload; registerCase() adds more at run
- * time for embedding applications.
+ * lists) cover the seven demo families and the paper's three case
+ * studies: `gemm` (size, tile), `cyclic-reduction` (n, systems,
+ * padded, forward-only) and `spmv` (format, block rows, texture).
+ * registerCase() adds more at run time for embedding applications.
  */
 
 #ifndef GPUPERF_API_REGISTRY_H

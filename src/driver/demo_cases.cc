@@ -1,7 +1,9 @@
 #include "driver/demo_cases.h"
 
+#include "apps/matmul/gemm.h"
 #include "apps/spmv/formats.h"
 #include "apps/spmv/kernels.h"
+#include "apps/tridiag/cyclic_reduction.h"
 #include "common/logging.h"
 #include "isa/builder.h"
 
@@ -495,6 +497,80 @@ makeSpmvEllCase(const std::string &name, int block_rows,
         launch.gmem = std::move(gmem);
         launch.cfg.gridDim = apps::spmvGridDim(ell.rows);
         launch.cfg.blockDim = apps::kSpmvBlockDim;
+        return launch;
+    };
+    return kc;
+}
+
+KernelCase
+makeGemmCase(const std::string &name, int size, int tile)
+{
+    KernelCase kc;
+    kc.name = name;
+    kc.make = [size, tile]() {
+        // A, B and C of size^2 floats each, plus slack.
+        auto gmem = std::make_unique<funcsim::GlobalMemory>(
+            static_cast<size_t>(size) * size * 12 + (1u << 20));
+        const apps::GemmProblem p =
+            apps::makeGemmProblem(*gmem, size, tile);
+        PreparedLaunch launch(apps::makeGemmKernel(p));
+        launch.gmem = std::move(gmem);
+        launch.cfg = p.launch();
+        launch.options.homogeneous = true;
+        return launch;
+    };
+    return kc;
+}
+
+KernelCase
+makeCyclicReductionCase(const std::string &name, int n, int systems,
+                        bool padded, bool forward_only)
+{
+    KernelCase kc;
+    kc.name = name;
+    kc.make = [n, systems, padded, forward_only]() {
+        // Per system: a, b, c, d in and x out, n floats each.
+        auto gmem = std::make_unique<funcsim::GlobalMemory>(
+            static_cast<size_t>(n) * systems * 20 + (1u << 20));
+        const apps::TridiagProblem p =
+            apps::makeTridiagProblem(*gmem, n, systems, padded);
+        PreparedLaunch launch(
+            apps::makeCyclicReductionKernel(p, forward_only));
+        launch.gmem = std::move(gmem);
+        launch.cfg = p.launch();
+        launch.options.homogeneous = true;
+        return launch;
+    };
+    return kc;
+}
+
+KernelCase
+makeSpmvCase(const std::string &name, apps::SpmvFormat format,
+             int block_rows, bool texture)
+{
+    KernelCase kc;
+    kc.name = name;
+    kc.make = [format, block_rows, texture]() {
+        const apps::BlockSparseMatrix m =
+            apps::makeBandedBlockMatrix(block_rows, 13, 24);
+        // The ELL layout bounds every format's footprint: ld x k
+        // values and columns (ld rounded up to a warp), four
+        // row-length vectors, plus slack.
+        const size_t rows = static_cast<size_t>(m.rows());
+        const size_t k = static_cast<size_t>(m.maxRowEntries());
+        auto gmem = std::make_unique<funcsim::GlobalMemory>(
+            (rows + 64) * (k * 8 + 32) + (1u << 20));
+        const apps::SpmvVectors v = apps::makeVectors(*gmem, m);
+        const bool ell = format == apps::SpmvFormat::kEll;
+        PreparedLaunch launch(
+            ell ? apps::makeEllKernel(apps::buildEll(*gmem, m), v, texture)
+                : apps::makeBellKernel(
+                      apps::buildBell(*gmem, m,
+                                      format != apps::SpmvFormat::kBell),
+                      v, format == apps::SpmvFormat::kBellImIv, texture));
+        launch.gmem = std::move(gmem);
+        launch.cfg = {apps::spmvGridDim(ell ? m.rows() : m.blockRows),
+                      apps::kSpmvBlockDim};
         return launch;
     };
     return kc;

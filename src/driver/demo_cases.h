@@ -1,15 +1,18 @@
 /**
  * @file
- * Ready-made kernel cases for the batch driver: a coalesced SAXPY, a
- * strided (uncoalesced) SAXPY, and a bank-conflicted shared-memory
- * kernel shaped like the paper's pre-padding cyclic reduction. Used
- * by examples, benches and tests that need deterministic workloads
- * with distinct bottleneck profiles without hand-building ISA.
+ * Ready-made kernel cases for the batch driver: the seven demo
+ * families (SAXPY, strided SAXPY, a bank-conflicted shared-memory
+ * kernel, a stencil, a reduction, ELL SpMV and a histogram) and the
+ * paper's three case studies (tiled GEMM, cyclic reduction and blocked
+ * SpMV). Used by the registry, examples, benches and tests that need
+ * deterministic workloads with distinct bottleneck profiles without
+ * hand-building ISA.
  */
 
 #ifndef GPUPERF_DRIVER_DEMO_CASES_H
 #define GPUPERF_DRIVER_DEMO_CASES_H
 
+#include "apps/spmv/traffic.h"
 #include "driver/batch_runner.h"
 
 namespace gpuperf {
@@ -112,6 +115,37 @@ KernelCase makeReductionCase(const std::string &name, int grid_dim,
 KernelCase makeHistogramCase(const std::string &name, int grid_dim,
                              int block_dim, int num_bins,
                              int items_per_thread = 8);
+
+/**
+ * The paper's Section 5.1 tiled GEMM (apps/matmul/gemm.h): C = A * B
+ * on @p size x @p size matrices with @p tile x @p tile sub-matrices.
+ * Every block runs an identical stream, so the launch simulates one
+ * block and replicates it (funcsim::RunOptions::homogeneous).
+ * @p size must be a power of two >= 64 and @p tile 8, 16 or 32.
+ */
+KernelCase makeGemmCase(const std::string &name, int size, int tile);
+
+/**
+ * The paper's Section 5.2 cyclic-reduction solver
+ * (apps/tridiag/cyclic_reduction.h): @p systems independent systems
+ * of @p n equations, one block each, CR-NBC when @p padded, the
+ * forward phase alone when @p forward_only (Figure 6). The systems
+ * are structurally identical, so the launch is homogeneous. @p n must
+ * be a power of two >= 4 (a multiple of 16 when padded).
+ */
+KernelCase makeCyclicReductionCase(const std::string &name, int n,
+                                   int systems, bool padded,
+                                   bool forward_only);
+
+/**
+ * The paper's Section 5.3 SpMV (apps/spmv/kernels.h) in @p format on
+ * the QCD-like matrix of @p block_rows block rows, each of 13 3x3
+ * blocks within a half band of 24 (Figures 11 and 12), gathering x
+ * through the texture cache when @p texture. @p block_rows must be at
+ * least 13, so every row's band holds 13 distinct blocks.
+ */
+KernelCase makeSpmvCase(const std::string &name, apps::SpmvFormat format,
+                        int block_rows, bool texture);
 
 } // namespace driver
 } // namespace gpuperf

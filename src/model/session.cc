@@ -15,25 +15,6 @@ AnalysisSession::AnalysisSession(const arch::GpuSpec &spec,
 }
 
 Analysis
-AnalysisSession::analyze(const isa::Kernel &kernel,
-                         const funcsim::LaunchConfig &cfg,
-                         funcsim::GlobalMemory &gmem,
-                         funcsim::RunOptions options)
-{
-    // One-shot path: same simulations in the same order as
-    // funcsim::profileKernel() + a timing replay + analyze(profile,
-    // timing) — bit-identical results, pinned by tests/test_profile.cc
-    // — without the profile-identity work (input-image hash, stats
-    // copy) only sharing would need.
-    Measurement m = device_.run(kernel, cfg, gmem, options);
-    arch::KernelResources res;
-    res.registersPerThread = kernel.numRegisters();
-    res.sharedBytesPerBlock = kernel.sharedBytes();
-    res.threadsPerBlock = cfg.blockDim;
-    return analyzeMeasured(std::move(m), res);
-}
-
-Analysis
 AnalysisSession::analyze(
     const std::shared_ptr<const funcsim::KernelProfile> &profile,
     const std::shared_ptr<const timing::TimingResult> &timing)

@@ -1,8 +1,10 @@
 /**
  * @file
- * AnalysisSession — the end-to-end workflow of the paper's Figure 1:
- * functional simulation -> info extraction -> model prediction, plus a
- * timing-simulator "measurement" for validation, behind one call.
+ * AnalysisSession — the model half of the paper's Figure 1 workflow:
+ * info extraction -> model prediction from a functional-simulation
+ * profile and its timing-simulator "measurement". The pipeline
+ * (driver::BatchRunner, behind api::AnalysisService) feeds it shared
+ * profiles and memoized timings; it is not an entry point of its own.
  */
 
 #ifndef GPUPERF_MODEL_SESSION_H
@@ -55,25 +57,15 @@ class AnalysisSession
     AnalysisSession &operator=(const AnalysisSession &) = delete;
 
     /**
-     * Run the full workflow on one kernel launch: one
-     * functional-simulation pass driving timing, extraction and
-     * prediction. Bit-identical to funcsim::profileKernel() + a timing
-     * replay + analyze(profile, timing), which shares both passes
-     * across sessions instead (pinned by
-     * KernelProfile.ReuseAcrossSpecVariantsIsBitIdentical).
-     */
-    Analysis analyze(const isa::Kernel &kernel,
-                     const funcsim::LaunchConfig &cfg,
-                     funcsim::GlobalMemory &gmem,
-                     funcsim::RunOptions options = {});
-
-    /**
      * Run the workflow from an existing profile and its timing replay
      * (e.g. from the BatchRunner's timing memo keyed by profile key x
      * arch::TimingFingerprint): extraction and prediction only. The
      * profile may come from any spec with this session's funcsim
      * fingerprint; @p timing must be what this session's device would
-     * replay for @p profile.
+     * replay for @p profile. Bit-identical to the one-shot run of the
+     * per-cell oracle (reference::analyzeOneShot in
+     * tests/reference_pipeline.h, pinned by
+     * KernelProfile.ReuseAcrossSpecVariantsIsBitIdentical).
      */
     Analysis analyze(
         const std::shared_ptr<const funcsim::KernelProfile> &profile,

@@ -22,15 +22,20 @@
  * PendingQueue is deliberately O(n)-scan on pop: every queue in this
  * system holds at most a few thousand entries, and a linear scan under
  * the owner's lock is both simpler and cache-friendlier than a heap
- * per (policy, client).
+ * per (policy, client). Under sjf and biggest-first the same scan
+ * re-prices every entry when the queue has a pricer, so costs are
+ * ranked in the cost model's current scale, never at the prices they
+ * had when pushed.
  */
 
 #ifndef GPUPERF_SCHED_POLICY_H
 #define GPUPERF_SCHED_POLICY_H
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -74,9 +79,26 @@ template <typename T>
 class PendingQueue
 {
   public:
+    /**
+     * An item's cost now. A cost-model estimate moves as the model
+     * learns (sched::CostModel), so a price taken at push goes stale:
+     * before the first observation it is static units times a default
+     * ms-per-unit factor, and it would stay in the queue after the
+     * model knows better.
+     */
+    using Pricer = std::function<double(const T &)>;
+
+    /**
+     * With a @p pricer, every pop under sjf or biggest-first first
+     * re-prices each waiting entry through it. FIFO never calls it,
+     * and fair share charges each entry the cost it was pushed with:
+     * its deficits are an account in those costs, and re-pricing
+     * waiting work would change what credit already granted is worth.
+     * Without a pricer, entries keep the cost they were pushed with.
+     */
     explicit PendingQueue(SchedPolicy policy = SchedPolicy::kFifo,
-                          double quantum = 0.0)
-        : policy_(policy), quantum_(quantum)
+                          double quantum = 0.0, Pricer pricer = {})
+        : policy_(policy), quantum_(quantum), pricer_(std::move(pricer))
     {
     }
 
@@ -112,6 +134,11 @@ class PendingQueue
             T item = urgent_.front();
             urgent_.pop_front();
             return item;
+        }
+        if (pricer_ && (policy_ == SchedPolicy::kSjf ||
+                        policy_ == SchedPolicy::kBiggestFirst)) {
+            for (Entry &e : entries_)
+                e.cost = std::max(0.0, pricer_(e.item));
         }
         const size_t at = pickIndex();
         const Entry e = entries_[at];
@@ -323,6 +350,7 @@ class PendingQueue
 
     SchedPolicy policy_;
     double quantum_;
+    Pricer pricer_;
     uint64_t nextSeq_ = 0;
     std::deque<T> urgent_;
     std::vector<Entry> entries_;

@@ -4,9 +4,10 @@
  * (driver::BatchRunner, api::AnalysisService) is pinned bit-identical
  * against. It shares no simulation work: every cell runs its case's
  * factory for a fresh launch, functionally simulates it and replays it
- * for timing inside its own model::AnalysisSession, then sweeps. A
- * test or bench that compares against it shows that profile sharing,
- * the timing memo, the stores and the task graph change no number.
+ * for timing inside its own model::AnalysisSession (analyzeOneShot),
+ * then sweeps. A test or bench that compares against it shows that
+ * profile sharing, the timing memo, the stores and the task graph
+ * change no number.
  *
  * Header-only, outside the library: nothing in src/ may depend on it.
  */
@@ -26,6 +27,28 @@
 
 namespace gpuperf {
 namespace reference {
+
+/**
+ * The one-shot workflow on one launch: functionally simulate and
+ * replay @p kernel on @p session's device, then extract and predict.
+ * The shared pipeline splits the same steps into a profile, a
+ * memoized timing and AnalysisSession::analyze(profile, timing); this
+ * is what it must match bit for bit.
+ */
+inline model::Analysis
+analyzeOneShot(model::AnalysisSession &session, const isa::Kernel &kernel,
+               const funcsim::LaunchConfig &cfg,
+               funcsim::GlobalMemory &gmem,
+               funcsim::RunOptions options = {})
+{
+    model::Measurement m = session.device().run(kernel, cfg, gmem,
+                                                options);
+    arch::KernelResources res;
+    res.registersPerThread = kernel.numRegisters();
+    res.sharedBytesPerBlock = kernel.sharedBytes();
+    res.threadsPerBlock = cfg.blockDim;
+    return session.analyzeMeasured(std::move(m), res);
+}
 
 /**
  * Evaluate every case on every spec, one cell at a time on the
@@ -64,8 +87,9 @@ runPerCell(const std::vector<driver::KernelCase> &kernels,
                 config.tables = tables;
                 model::AnalysisSession session(spec, config);
                 session.calibrator().shareGlobalMemo(memo);
-                r.analysis = session.analyze(launch.kernel, launch.cfg,
-                                             *launch.gmem, launch.options);
+                r.analysis = analyzeOneShot(session, launch.kernel,
+                                            launch.cfg, *launch.gmem,
+                                            launch.options);
                 if (!sweep.empty()) {
                     r.whatifs = driver::runSweep(session.model(),
                                                  r.analysis.input, sweep,

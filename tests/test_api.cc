@@ -500,7 +500,8 @@ TEST(RegistryTest, BuiltinsResolveAndValidate)
 {
     for (const char *factory :
          {"saxpy", "saxpy-strided", "shared-conflict", "stencil1d",
-          "reduction", "spmv-ell", "histogram"}) {
+          "reduction", "spmv-ell", "histogram", "gemm",
+          "cyclic-reduction", "spmv"}) {
         EXPECT_TRUE(caseRegistered(factory)) << factory;
     }
     // Valid ref materializes into a working case.
@@ -524,6 +525,29 @@ TEST(RegistryTest, BuiltinsResolveAndValidate)
             "x", CaseRef{"histogram", {4, 128, 7, 2}, {}})),
         std::runtime_error)
         << "non-power-of-two bins";
+
+    // The case studies' malformed refs: every one is a throw at
+    // materialization, before the apps/ assertions (GemmDeath.*,
+    // TridiagDeath.*) or the matrix generator could see it.
+    const CaseRef malformed[] = {
+        {"gemm", {100, 16}, {}},            // size not a power of two
+        {"gemm", {128, 12}, {}},            // tile outside 8/16/32
+        {"gemm", {32, 8}, {}},              // size below one 64-row tile
+        {"gemm", {1 << 14, 16}, {}},        // oversized product
+        {"cyclic-reduction", {100, 4}, {}}, // n not a power of two
+        {"cyclic-reduction", {8, 4, 1}, {}},  // padded n below 16
+        {"cyclic-reduction", {1024, 4}, {}},  // outgrows shared memory
+        {"cyclic-reduction", {16, 4, 2}, {}}, // flag neither 0 nor 1
+        {"cyclic-reduction", {512, 1 << 20}, {}}, // oversized product
+        {"spmv", {7, 64}, {}},              // unknown format
+        {"spmv", {0, 12}, {}},              // fewer rows than a band
+        {"spmv", {0, 1 << 20}, {}},         // oversized product
+    };
+    for (const CaseRef &ref : malformed) {
+        EXPECT_THROW(materializeJob(KernelJob::fromRef("x", ref)),
+                     std::runtime_error)
+            << ref.factory << " " << ::testing::PrintToString(ref.iargs);
+    }
 }
 
 TEST(RegistryTest, InlineJobsRebuildIdenticalImages)
@@ -572,6 +596,35 @@ TEST(AnalysisServiceTest, MatchesBatchRunnerAndSerialBitForBit)
         adoptAll(service, req);
         expectEqual(service.run(req), want);
     }
+}
+
+TEST(AnalysisServiceTest, CaseStudyRefsMatchThePerCellOracle)
+{
+    AnalysisRequest req;
+    req.jobName = "case-studies";
+    req.kernels.push_back(
+        KernelJob::fromRef("gemm", CaseRef{"gemm", {64, 16}, {}}));
+    req.kernels.push_back(KernelJob::fromRef(
+        "cr-nbc", CaseRef{"cyclic-reduction", {16, 4, 1, 0}, {}}));
+    req.kernels.push_back(
+        KernelJob::fromRef("spmv", CaseRef{"spmv", {3, 16, 1}, {}}));
+    req.specs.push_back(arch::GpuSpec::gtx285());
+    req.sweep.noBankConflicts = true;
+    req.exec.numThreads = 2;
+    AnalysisService service;
+    adoptAll(service, req);
+    const AnalysisResponse got = service.run(req);
+    for (const driver::BatchResult &cell : got.cells)
+        EXPECT_TRUE(cell.ok) << cell.kernelName << ": " << cell.error;
+
+    const std::vector<driver::KernelCase> cases = {
+        driver::makeGemmCase("gemm", 64, 16),
+        driver::makeCyclicReductionCase("cr-nbc", 16, 4, true, false),
+        driver::makeSpmvCase("spmv", apps::SpmvFormat::kBellImIv, 16,
+                             true)};
+    expectEqual(got, asResponse(req, reference::runPerCell(
+                                         cases, req.specs, req.sweep,
+                                         sharedFakeTables())));
 }
 
 TEST(AnalysisServiceTest, ColdAndWarmStoreAreBitIdentical)

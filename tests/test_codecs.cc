@@ -10,7 +10,8 @@
  * the same bytes again.
  *
  * The test never rewrites a fixture. On a mismatch it writes the bytes
- * the code produced to $TMPDIR/gpuperf-golden-actual/ for inspection.
+ * the code produced to TempDir()/gpuperf-golden-actual/ for
+ * inspection (tests/golden.h).
  * An intended wire change bumps kSchemaVersion (or the store's
  * kFormatVersion) and replaces the fixtures in the same commit.
  */
@@ -26,7 +27,6 @@
 #include <fstream>
 #include <functional>
 #include <new>
-#include <sstream>
 
 #include "api/cell_cost.h"
 #include "api/codecs.h"
@@ -39,6 +39,8 @@
 #include "store/codecs.h"
 #include "store/result_store.h"
 #include "store/serializer.h"
+
+#include "golden.h"
 
 /** The largest single allocation this test binary has made. */
 static std::atomic<size_t> g_largest_alloc{0};
@@ -375,50 +377,7 @@ goldenBenchEntries()
 
 // --- Fixture plumbing ---------------------------------------------------
 
-std::string
-goldenPath(const std::string &name)
-{
-    return std::string(GPUPERF_GOLDEN_DIR) + "/" + name;
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
-
-std::string
-golden(const std::string &name)
-{
-    return readFile(goldenPath(name));
-}
-
-/**
- * Compare @p actual against fixture @p name; on a mismatch, write
- * @p actual next to the temp dir and name the first differing byte.
- */
-::testing::AssertionResult
-matchesGolden(const std::string &name, const std::string &actual)
-{
-    const std::string want = golden(name);
-    if (actual == want)
-        return ::testing::AssertionSuccess();
-    const std::string dir =
-        ::testing::TempDir() + "gpuperf-golden-actual";
-    store::makeDirs(dir);
-    std::ofstream(dir + "/" + name, std::ios::binary) << actual;
-    size_t at = 0;
-    while (at < actual.size() && at < want.size() &&
-           actual[at] == want[at])
-        ++at;
-    return ::testing::AssertionFailure()
-           << name << ": " << actual.size() << " bytes vs fixture "
-           << want.size() << ", first difference at byte " << at
-           << " (actual written to " << dir << "/" << name << ")";
-}
+using golden::matchesGolden;
 
 /**
  * A scratch store directory per @p tag, created once per process and
@@ -703,7 +662,7 @@ TEST(GoldenTest, DecodingReencodesIdentically)
 {
     for (const Codec &c : allCodecs()) {
         SCOPED_TRACE(c.file);
-        const std::string bytes = golden(c.file);
+        const std::string bytes = golden::read(c.file);
         ASSERT_FALSE(bytes.empty());
         std::string again;
         ASSERT_TRUE(c.decode(bytes, &again));
@@ -716,8 +675,8 @@ TEST(GoldenTest, SchemaV1ShapedRequestWithoutClientIsAccepted)
     // Hand-written and pre-fair-share requests carry no "client" key.
     AnalysisRequest back;
     std::string error;
-    ASSERT_TRUE(
-        api::requestFromJson(golden("request_v1.json"), &back, &error))
+    ASSERT_TRUE(api::requestFromJson(golden::read("request_v1.json"),
+                                     &back, &error))
         << error;
     EXPECT_EQ(back.clientId, "");
     AnalysisRequest want = goldenRequest();
@@ -733,7 +692,7 @@ TEST(GoldenTest, HandWrittenU64NumbersAreAccepted)
 {
     // Writers emit u64 values as decimal strings; hand-written JSON
     // may use plain numbers.
-    std::string text = golden("request.json");
+    std::string text = golden::read("request.json");
     const std::string quoted = "\"capacity\": \"4096\"";
     const size_t at = text.find(quoted);
     ASSERT_NE(at, std::string::npos);
@@ -783,7 +742,7 @@ TEST(GoldenTest, UnknownJsonKeysAreRejected)
     // A key the field walk does not name fails the read, naming the
     // key: a hand-written request still setting a retired option must
     // not silently run something else.
-    const std::string text = golden("request.json");
+    const std::string text = golden::read("request.json");
     const auto injected = [&text](const std::string &after,
                                   const std::string &member) {
         std::string forged = text;
@@ -820,7 +779,7 @@ TEST(GoldenTest, UnknownJsonKeysAreRejected)
     }
 
     // Responses read as strictly.
-    std::string resp = golden("response.json");
+    std::string resp = golden::read("response.json");
     resp.insert(resp.find('{') + 1, "\"numCells\": 2,");
     AnalysisResponse back;
     std::string error;
@@ -831,10 +790,11 @@ TEST(GoldenTest, UnknownJsonKeysAreRejected)
 TEST(GoldenTest, EveryStrictPrefixFailsToDecode)
 {
     const size_t legacy_cut =
-        golden("entry_result.bin").size() - store::kChecksumTrailerBytes;
+        golden::read("entry_result.bin").size() -
+        store::kChecksumTrailerBytes;
     for (const Codec &c : allCodecs()) {
         SCOPED_TRACE(c.file);
-        const std::string bytes = golden(c.file);
+        const std::string bytes = golden::read(c.file);
         // dump() ends JSON with a newline; cutting only that is the
         // same document.
         const size_t n = c.json ? bytes.size() - 1 : bytes.size();
@@ -853,7 +813,7 @@ TEST(GoldenTest, EveryStrictPrefixFailsToDecode)
             EXPECT_FALSE(c.decode(prefix, &again)) << "cut at " << cut;
         }
     }
-    const std::string v1 = golden("request_v1.json");
+    const std::string v1 = golden::read("request_v1.json");
     for (size_t cut = 0; cut + 1 < v1.size(); ++cut) {
         AnalysisRequest back;
         std::string error;
@@ -870,7 +830,7 @@ TEST(WireInputTest, OutOfRangeTransactionSizeIsRejected)
     // The [size, count] keys of globalXactBySize are i32: a size a
     // double holds but an int does not must fail the read, not reach
     // an undefined cast.
-    const std::string text = golden("response.json");
+    const std::string text = golden::read("response.json");
     const std::string pair = "[\n                  32,";
     const size_t at = text.find(pair);
     ASSERT_NE(at, std::string::npos);

@@ -1,7 +1,7 @@
 /**
  * @file
- * Common-utility tests: deterministic RNG, table rendering, logging
- * helpers, and unit conversions.
+ * Common-utility tests: deterministic RNG, table rendering and logging
+ * helpers.
  */
 
 #include <sstream>
@@ -11,7 +11,6 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/table.h"
-#include "common/units.h"
 
 namespace gpuperf {
 namespace {
@@ -148,14 +147,6 @@ TEST(LoggingDeath, FatalExits)
 TEST(LoggingDeath, AssertMacro)
 {
     EXPECT_DEATH(GPUPERF_ASSERT(1 == 2, "math broke"), "math broke");
-}
-
-TEST(Units, Conversions)
-{
-    EXPECT_DOUBLE_EQ(cyclesToSeconds(1476000000ull, 1.476e9), 1.0);
-    EXPECT_DOUBLE_EQ(toMilliseconds(0.5), 500.0);
-    EXPECT_DOUBLE_EQ(toGBps(2e9), 2.0);
-    EXPECT_DOUBLE_EQ(toGigaRate(3e9), 3.0);
 }
 
 } // namespace

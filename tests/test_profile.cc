@@ -210,8 +210,9 @@ TEST(KernelProfile, ReuseAcrossSpecVariantsIsBitIdentical)
         model::AnalysisSession percell_session(spec);
         percell_session.adoptCalibration(sharedFakeTables());
         auto fresh = kc.make();
-        const model::Analysis want = percell_session.analyze(
-            fresh.kernel, fresh.cfg, *fresh.gmem, fresh.options);
+        const model::Analysis want = reference::analyzeOneShot(
+            percell_session, fresh.kernel, fresh.cfg, *fresh.gmem,
+            fresh.options);
         expectSameAnalysis(got, want);
     }
 }

@@ -3,7 +3,8 @@
  * Scheduler tests: cost-model monotonicity, EWMA refinement and its
  * bounded per-key memory, the request-side cost features, the
  * policy-ordered PendingQueue (FIFO/SJF/biggest-first plus urgent
- * drain) and fair-share starvation-freedom under a flooding client.
+ * drain, re-priced at each pick) and fair-share starvation-freedom
+ * under a flooding client.
  * That every policy's responses match the FIFO run bit for bit is
  * pinned where a policy orders work, in tests/test_dispatch.cc.
  */
@@ -217,6 +218,48 @@ TEST(PendingQueue, BiggestFirstPopsDearestFirst)
     q.push(2, 1.0);
     q.push(3, 3.0);
     EXPECT_EQ(popAll(q), (std::vector<int>{1, 3, 2}));
+}
+
+TEST(PendingQueue, AnEntryPricedBeforeTheModelLearnedIsRepriced)
+{
+    // A bulk cell queued before any observation is priced by the
+    // static fallback at the default ms-per-unit factor: 2000 units
+    // read as 0.2 ms. Then the model observes an interactive cell of
+    // 50 units at 7.6 ms, and the next one is queued at that price.
+    sched::CostFeatures bulk, interactive;
+    bulk.warpOps = 1999;
+    interactive.warpOps = 49;
+    const std::vector<std::string> keys = {"bulk", "interactive"};
+    const std::vector<sched::CostFeatures> features = {bulk, interactive};
+    for (sched::SchedPolicy p :
+         {sched::SchedPolicy::kSjf, sched::SchedPolicy::kBiggestFirst}) {
+        SCOPED_TRACE(sched::schedPolicyName(p));
+        const bool sjf = p == sched::SchedPolicy::kSjf;
+        sched::CostModel model;
+        const auto price = [&](const int &i) {
+            return model.estimate(keys[i], features[i]);
+        };
+        sched::PendingQueue<int> q(p, 0.0, price);
+        q.push(0, price(0));
+        EXPECT_DOUBLE_EQ(price(0), 0.2);
+        model.observe("interactive", interactive, 7.6);
+        q.push(1, price(1));
+        // At its stale 0.2 ms the bulk cell would rank below the
+        // interactive one. The learned factor (7.6 ms / 50 units)
+        // prices it at 304 ms.
+        EXPECT_EQ(popAll(q), sjf ? (std::vector<int>{1, 0})
+                                 : (std::vector<int>{0, 1}));
+    }
+
+    // FIFO never asks the pricer.
+    sched::PendingQueue<int> fifo(sched::SchedPolicy::kFifo, 0.0,
+                                  [](const int &) -> double {
+                                      ADD_FAILURE() << "FIFO priced";
+                                      return 0.0;
+                                  });
+    fifo.push(0, 1.0);
+    fifo.push(1, 0.0);
+    EXPECT_EQ(popAll(fifo), (std::vector<int>{0, 1}));
 }
 
 TEST(PendingQueue, UrgentEntriesDrainFirstUnderEveryPolicy)

@@ -12,6 +12,7 @@
 #include "apps/spmv/kernels.h"
 #include "apps/spmv/traffic.h"
 #include "funcsim/interpreter.h"
+#include "memxact/coalescing.h"
 
 namespace gpuperf {
 namespace apps {
@@ -197,6 +198,41 @@ TEST(SpmvTraffic, UninterleavedBellIsWorseThanInterleaved)
     TrafficBreakdown plain = analyzeTraffic(m, SpmvFormat::kBell, 32);
     TrafficBreakdown im = analyzeTraffic(m, SpmvFormat::kBellIm, 32);
     EXPECT_GT(plain.matrixBytes, im.matrixBytes);
+}
+
+TEST(SpmvTraffic, InterleavingSavesToyMachineGathers)
+{
+    // Figure 10: the 12x12 matrix of 3x3 blocks on the paper's toy
+    // machine, whose transactions are 8 B and whose threads issue in
+    // pairs. One thread per block row gathers x for each block it
+    // holds, from the straightforward vector (x[c*3 + e]) or the
+    // interleaved one (x[e*4 + c]).
+    const BlockSparseMatrix m = makeBandedBlockMatrix(
+        /*block_rows=*/4, /*blocks_per_row=*/2, /*half_band=*/2,
+        /*seed=*/3);
+    memxact::CoalescingSimulator toy(/*min=*/8, /*max=*/8, /*group=*/2);
+    uint64_t xacts[2] = {0, 0};
+    for (bool interleaved : {false, true}) {
+        for (int g = 0; g < m.blockRows; g += 2) {
+            for (size_t blk = 0; blk < m.blockCols[g].size(); ++blk) {
+                for (int e = 0; e < m.blockSize; ++e) {
+                    std::vector<memxact::Request> reqs(2);
+                    for (int l = 0; l < 2; ++l) {
+                        const auto &cols = m.blockCols[g + l];
+                        const uint64_t c =
+                            cols[std::min(blk, cols.size() - 1)];
+                        reqs[l].active = true;
+                        reqs[l].address =
+                            4 * (interleaved ? e * m.blockRows + c
+                                             : c * m.blockSize + e);
+                    }
+                    xacts[interleaved] += toy.coalesce(reqs, 4).size();
+                }
+            }
+        }
+    }
+    EXPECT_EQ(xacts[0], 24u);
+    EXPECT_EQ(xacts[1], 15u);
 }
 
 TEST(SpmvTraffic, TotalsAreSumOfParts)
